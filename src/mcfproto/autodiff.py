@@ -13,6 +13,8 @@ non-smooth point.
 
 import numpy as np
 
+from . import so3
+
 
 class Node:
     __slots__ = ("value", "parents", "backward_fn", "kinks", "_done")
@@ -242,17 +244,10 @@ def linear(x, W, b):
 # ---------------------------------------------------------------------------
 
 def gram_schmidt_6d(p):
-    """(…, 6) -> (…, 3, 3) rotation via Gram-Schmidt, analytic backward."""
-    v = p.value
-    a1, a2 = v[..., :3], v[..., 3:]
-    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
-    b1 = a1 / n1
-    d = (b1 * a2).sum(axis=-1, keepdims=True)
-    c2 = a2 - d * b1
-    n2 = np.linalg.norm(c2, axis=-1, keepdims=True)
-    b2 = c2 / n2
-    b3 = np.cross(b1, b2)
-    R = np.stack([b1, b2, b3], axis=-1)
+    """(…, 6) -> (…, 3, 3) rotation via so3.gram_schmidt, analytic backward."""
+    R, n1, n2, d = so3.gram_schmidt(p.value)
+    b1, b2 = R[..., :, 0], R[..., :, 1]
+    a2 = p.value[..., 3:]
     out = Node(R, (p,))
 
     def backward(g):

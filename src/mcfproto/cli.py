@@ -175,32 +175,30 @@ def cmd_diagnose(args):
     write_resolved(cfg, args.out)
 
     world = {}
-    learned_local = {}
+    local_by_task = {}
     compat_learned = {}
     compat_gt = {}
     compat_random = {}
-    local_by_task = {}
+    outputs = []
     rng = np.random.Generator(np.random.Philox(key=[0xD1A6, 0]))
     for ep in dataset.episodes:
         out = diagnostics.predict_step_outputs(params, hc, ep.obs)
+        outputs.append(out)
         frames = out["frames"]
-        w6 = ep.actions[:, :6]
-        world.setdefault(ep.task, []).append(w6)
-        loc = diagnostics.local_actions(ep.actions, frames)
-        learned_local.setdefault(ep.task, []).append(loc)
-        local_by_task.setdefault(ep.task, []).append(loc)
+        world.setdefault(ep.task, []).append(ep.actions[:, :6])
+        local_by_task.setdefault(ep.task, []).append(
+            diagnostics.local_actions(ep.actions, frames))
         compat_learned.setdefault(ep.task, []).append((ep.actions[:, :3], frames))
         gt = np.broadcast_to(ep.q, frames.shape).copy()
         compat_gt.setdefault(ep.task, []).append((ep.actions[:, :3], gt))
         rnd = so3.random_rotation(rng, size=len(frames))
         compat_random.setdefault(ep.task, []).append((ep.actions[:, :3], rnd))
 
-    world = {k: np.concatenate(v) for k, v in world.items()}
-    learned_local = {k: np.concatenate(v) for k, v in learned_local.items()}
-
     conc = {
-        "world": diagnostics.concentration(world),
-        "learned_local": diagnostics.concentration(learned_local),
+        "world": diagnostics.concentration(
+            {k: np.concatenate(v) for k, v in world.items()}),
+        "learned_local": diagnostics.concentration(
+            {k: np.concatenate(v) for k, v in local_by_task.items()}),
     }
     compat = {
         "learned": diagnostics.compatibility(
@@ -212,7 +210,7 @@ def cmd_diagnose(args):
         "random_mc_baseline_deg": diagnostics.random_min_angle_mc(
             n=dcfg["random_baseline_samples"]),
     }
-    usage = diagnostics.usage_matrix(params, hc, dataset)
+    usage = diagnostics.usage_matrix(dataset, outputs)
     timelines = {
         task: diagnostics.axis_timeline(local_by_task[task],
                                         time_bins=dcfg["time_bins"])
@@ -226,7 +224,7 @@ def cmd_diagnose(args):
     report = {
         "schema_version": 1,
         "concentration": conc,
-        "compatibility": {k: v for k, v in compat.items() if k != "records"},
+        "compatibility": compat,
         "usage_matrix": usage,
         "axis_timelines": timelines,
     }

@@ -33,19 +33,19 @@ def _effective_rank(lam):
     return float(np.exp(-(p * np.log(p)).sum()))
 
 
-def _pairwise_distance(actions, seed=0):
+def _pairwise_distance(actions):
     n = len(actions)
     n_pairs = n * (n - 1) // 2
     if n_pairs <= MAX_EXACT_PAIRS:
         return float(kernels.pairwise_mean_distance(np.ascontiguousarray(actions)))
-    rng = np.random.Generator(np.random.Philox(key=[seed, n]))
+    rng = np.random.Generator(np.random.Philox(key=[0, n]))
     i = rng.integers(0, n, MAX_EXACT_PAIRS)
     j = rng.integers(0, n - 1, MAX_EXACT_PAIRS)
     j = np.where(j >= i, j + 1, j)  # unordered pairs, no self-pairs
     return float(np.linalg.norm(actions[i] - actions[j], axis=1).mean())
 
 
-def concentration(actions_by_task, seed=0):
+def concentration(actions_by_task):
     """Task-wise concentration statistics over 6-dim action vectors.
 
     actions_by_task: {task: (N, 6) array}, N >= 2 per task. Returns per-task
@@ -69,7 +69,7 @@ def concentration(actions_by_task, seed=0):
             continue
         per_task[task] = {
             "covariance_trace": float(np.trace(cov)),
-            "avg_pairwise_distance": _pairwise_distance(actions, seed=seed),
+            "avg_pairwise_distance": _pairwise_distance(actions),
             "pca_top3_ev": float(lam[:3].sum() / total),
             "effective_rank": _effective_rank(lam),
         }
@@ -123,10 +123,8 @@ def compatibility(steps_by_task, min_displacement=None):
     if min_displacement is None:
         min_displacement = 0.1 * float(np.median(all_norms))
     per_task = {}
-    records = {}
     for task, entries in steps_by_task.items():
         angles = []
-        recs = []
         for trans, frames in entries:
             trans = np.asarray(trans, dtype=float)
             frames = np.asarray(frames, dtype=float)
@@ -135,15 +133,7 @@ def compatibility(steps_by_task, min_displacement=None):
             if not np.any(keep):
                 continue
             v = trans[keep] / norms[keep, None]
-            fr = frames[keep]
-            dots = np.abs(np.einsum("ti,tij->tj", v, fr))
-            best = dots.argmax(axis=1)
-            ang = np.degrees(np.arccos(np.clip(dots.max(axis=1), 0.0, 1.0)))
-            angles.append(ang)
-            recs.extend(
-                {"direction": vi.tolist(), "best_axis": int(b), "angle_deg": float(a)}
-                for vi, b, a in zip(v, best, ang)
-            )
+            angles.append(min_axis_angle_deg(v, frames[keep]))
         if angles:
             angles = np.concatenate(angles)
             per_task[task] = {
@@ -153,13 +143,11 @@ def compatibility(steps_by_task, min_displacement=None):
             }
         else:
             per_task[task] = {"mean_deg": None, "std_deg": None, "n_steps": 0}
-        records[task] = recs
     means = [v["mean_deg"] for v in per_task.values() if v["n_steps"] > 0]
     return {
         "per_task": per_task,
         "overall_mean_deg": float(np.mean(means)) if means else None,
         "min_displacement": float(min_displacement),
-        "records": records,
     }
 
 
@@ -181,33 +169,36 @@ def random_min_angle_mc(n=10 ** 6, seed=0):
 def predict_step_outputs(params, config, obs):
     """Per-step head outputs for one episode's observations.
 
-    Runs the head on every step and keeps the first horizon slot, giving one
-    frame / gating / local action per time step.
+    Runs the head on every step and keeps a copy of the first horizon slot,
+    giving one frame / gating / local action per time step without holding
+    on to the other slots.
     """
     out = head_mod.head_forward(obs, params, config)
     return {
-        "frames": out.frames.value[:, 0],
-        "gating_trans": out.gating_trans.value[:, 0],
-        "gating_rot": out.gating_rot.value[:, 0],
-        "local_trans": out.local_trans.value[:, 0],
-        "local_rot": out.local_rot.value[:, 0],
-        "world_action": out.world_action.value[:, 0],
+        "frames": out.frames.value[:, 0].copy(),
+        "gating_trans": out.gating_trans.value[:, 0].copy(),
+        "gating_rot": out.gating_rot.value[:, 0].copy(),
+        "local_trans": out.local_trans.value[:, 0].copy(),
+        "local_rot": out.local_rot.value[:, 0].copy(),
+        "world_action": out.world_action.value[:, 0].copy(),
     }
 
 
-def usage_matrix(params, config, dataset):
-    """Mean gating weights per task: {kind: (tasks, K) rows on the simplex}."""
-    sums_t = {t: np.zeros(config.k_trans) for t in dataset.task_names}
-    sums_r = {t: np.zeros(config.k_rot) for t in dataset.task_names}
-    counts = {t: 0 for t in dataset.task_names}
-    for ep in dataset.episodes:
-        out = predict_step_outputs(params, config, ep.obs)
-        sums_t[ep.task] += out["gating_trans"].sum(axis=0)
-        sums_r[ep.task] += out["gating_rot"].sum(axis=0)
-        counts[ep.task] += len(ep.obs)
-    rows_t = np.array([sums_t[t] / counts[t] for t in dataset.task_names])
-    rows_r = np.array([sums_r[t] / counts[t] for t in dataset.task_names])
-    return {"tasks": list(dataset.task_names), "trans": rows_t, "rot": rows_r}
+def usage_matrix(dataset, outputs):
+    """Mean gating weights per task: {kind: (tasks, K) rows on the simplex}.
+
+    outputs[i] is predict_step_outputs for dataset.episodes[i].
+    """
+    usage = {"tasks": list(dataset.task_names)}
+    for kind in ("trans", "rot"):
+        sums = {t: 0.0 for t in dataset.task_names}
+        counts = {t: 0 for t in dataset.task_names}
+        for ep, out in zip(dataset.episodes, outputs, strict=True):
+            gating = out[f"gating_{kind}"]
+            sums[ep.task] += gating.sum(axis=0)
+            counts[ep.task] += len(gating)
+        usage[kind] = np.array([sums[t] / counts[t] for t in dataset.task_names])
+    return usage
 
 
 def row_entropy(rows):

@@ -175,30 +175,16 @@ def encode(obs, params):
 
 
 def predict_frame(h, params, config):
-    """Frame head: latent -> per-step rotations (B, H, 3, 3)."""
+    """Frame head: latent -> per-step rotations (B, H, 3, 3).
+
+    Raises so3.DegenerateParamError when a predicted 6D parameter cannot be
+    decoded.
+    """
     batch = h.shape[0]
     fh = ad.tanh(ad.linear(h, params["frame.w1"], params["frame.b1"]))
     p6 = ad.linear(fh, params["frame.w2"], params["frame.b2"])
     p6 = ad.reshape(p6, (batch, config.horizon, 6))
-    flat = p6.value.reshape(-1, 6)
-    n1 = np.linalg.norm(flat[:, :3], axis=1)
-    b1 = flat[:, :3] / np.maximum(n1, 1e-300)[:, None]
-    resid = flat[:, 3:] - (b1 * flat[:, 3:]).sum(axis=1, keepdims=True) * b1
-    if np.any(n1 < 1e-8) or np.any(np.linalg.norm(resid, axis=1) < 1e-8):
-        from .so3 import DegenerateParamError
-
-        raise DegenerateParamError("frame head produced degenerate 6D parameters")
     return ad.gram_schmidt_6d(p6)
-
-
-def _head_branch(h, params, config, prefix, k, dict_name):
-    batch = h.shape[0]
-    logits = ad.linear(h, params[f"gate_{prefix}.w"], params[f"gate_{prefix}.b"])
-    pi = ad.softmax(ad.reshape(logits, (batch, config.horizon, k)))
-    z = ad.linear(h, params[f"scale_{prefix}.w"], params[f"scale_{prefix}.b"])
-    z = ad.reshape(z, (batch, config.horizon, config.d))
-    local = ad.compose_protos(pi, params[dict_name], z)
-    return pi, z, local
 
 
 def compose_local(h, params, config, kind):
@@ -208,7 +194,12 @@ def compose_local(h, params, config, kind):
     """
     prefix = "t" if kind == "trans" else "r"
     k = config.k_trans if kind == "trans" else config.k_rot
-    pi, z, local = _head_branch(h, params, config, prefix, k, f"dict_{kind}")
+    batch = h.shape[0]
+    logits = ad.linear(h, params[f"gate_{prefix}.w"], params[f"gate_{prefix}.b"])
+    pi = ad.softmax(ad.reshape(logits, (batch, config.horizon, k)))
+    z = ad.linear(h, params[f"scale_{prefix}.w"], params[f"scale_{prefix}.b"])
+    z = ad.reshape(z, (batch, config.horizon, config.d))
+    local = ad.compose_protos(pi, params[f"dict_{kind}"], z)
     return local, pi, z
 
 

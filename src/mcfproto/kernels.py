@@ -1,178 +1,12 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy variants.
-
-Every kernel exists in two versions that compute identical results:
-``*_numba`` (compiled with ``@njit``) and ``*_numpy``. The active set is
-chosen at import time; set the environment variable ``MCFPROTO_NO_NUMBA=1``
-to force the pure-numpy path (useful for debugging and as a correctness
-reference -- see benchmarks/bench_kernels.py for a speed comparison).
-"""
-
-import os
+"""Exact mean pairwise Euclidean distance over all unordered pairs."""
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("MCFPROTO_NO_NUMBA", "0") not in ("1", "true", "yes")
 
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-if not USE_NUMBA:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-
-# ---------------------------------------------------------------------------
-# Cyclic Jacobi eigensolver for small symmetric matrices.
-# ---------------------------------------------------------------------------
-
-def _jacobi_impl(A, tol, max_sweeps):
-    n = A.shape[0]
-    D = A.copy()
-    V = np.eye(n)
-    norm_a = np.sqrt((A * A).sum())
-    thresh = tol * (1.0 + norm_a)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += 2.0 * D[p, q] * D[p, q]
-        if np.sqrt(off) < thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = D[p, q]
-                if abs(apq) < 1e-300:
-                    continue
-                app = D[p, p]
-                aqq = D[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    dkp = D[k, p]
-                    dkq = D[k, q]
-                    D[k, p] = c * dkp - s * dkq
-                    D[k, q] = s * dkp + c * dkq
-                for k in range(n):
-                    dpk = D[p, k]
-                    dqk = D[q, k]
-                    D[p, k] = c * dpk - s * dqk
-                    D[q, k] = s * dpk + c * dqk
-                for k in range(n):
-                    vkp = V[k, p]
-                    vkq = V[k, q]
-                    V[k, p] = c * vkp - s * vkq
-                    V[k, q] = s * vkp + c * vkq
-    w = np.empty(n)
-    for i in range(n):
-        w[i] = D[i, i]
-    return w, V
-
-
-jacobi_eigh_numba = njit(cache=True)(_jacobi_impl)
-jacobi_eigh_numpy = _jacobi_impl
-
-
-# ---------------------------------------------------------------------------
-# Batched 6D -> rotation-matrix decode (Gram-Schmidt + cross product).
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def decode6d_batch_numba(p):
-    n = p.shape[0]
-    out = np.empty((n, 3, 3))
-    for i in range(n):
-        a1x, a1y, a1z = p[i, 0], p[i, 1], p[i, 2]
-        a2x, a2y, a2z = p[i, 3], p[i, 4], p[i, 5]
-        n1 = np.sqrt(a1x * a1x + a1y * a1y + a1z * a1z)
-        b1x, b1y, b1z = a1x / n1, a1y / n1, a1z / n1
-        d = b1x * a2x + b1y * a2y + b1z * a2z
-        c2x, c2y, c2z = a2x - d * b1x, a2y - d * b1y, a2z - d * b1z
-        n2 = np.sqrt(c2x * c2x + c2y * c2y + c2z * c2z)
-        b2x, b2y, b2z = c2x / n2, c2y / n2, c2z / n2
-        b3x = b1y * b2z - b1z * b2y
-        b3y = b1z * b2x - b1x * b2z
-        b3z = b1x * b2y - b1y * b2x
-        out[i, 0, 0], out[i, 1, 0], out[i, 2, 0] = b1x, b1y, b1z
-        out[i, 0, 1], out[i, 1, 1], out[i, 2, 1] = b2x, b2y, b2z
-        out[i, 0, 2], out[i, 1, 2], out[i, 2, 2] = b3x, b3y, b3z
-    return out
-
-
-def decode6d_batch_numpy(p):
-    a1 = p[:, :3]
-    a2 = p[:, 3:]
-    b1 = a1 / np.linalg.norm(a1, axis=1, keepdims=True)
-    c2 = a2 - (b1 * a2).sum(axis=1, keepdims=True) * b1
-    b2 = c2 / np.linalg.norm(c2, axis=1, keepdims=True)
-    b3 = np.cross(b1, b2)
-    return np.stack([b1, b2, b3], axis=2)
-
-
-# ---------------------------------------------------------------------------
-# Exact mean pairwise Euclidean distance over all unordered pairs.
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def pairwise_mean_distance_numba(X):
-    n, d = X.shape
-    total = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            s = 0.0
-            for k in range(d):
-                diff = X[i, k] - X[j, k]
-                s += diff * diff
-            total += np.sqrt(s)
-    return total / (n * (n - 1) / 2.0)
-
-
-def pairwise_mean_distance_numpy(X):
+def pairwise_mean_distance(X):
     n = X.shape[0]
     total = 0.0
     for i in range(n - 1):
         diff = X[i + 1:] - X[i]
         total += np.sqrt((diff * diff).sum(axis=1)).sum()
     return total / (n * (n - 1) / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo L1 objective: mean over samples of sum_i |(R^T a)_i|.
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def mc_l1_objective_numba(R, A):
-    n, d = A.shape
-    total = 0.0
-    for i in range(n):
-        for j in range(d):
-            s = 0.0
-            for k in range(d):
-                s += R[k, j] * A[i, k]
-            total += abs(s)
-    return total / n
-
-
-def mc_l1_objective_numpy(R, A):
-    return np.abs(A @ R).sum(axis=1).mean()
-
-
-if USE_NUMBA:
-    jacobi_eigh = jacobi_eigh_numba
-    decode6d_batch = decode6d_batch_numba
-    pairwise_mean_distance = pairwise_mean_distance_numba
-    mc_l1_objective = mc_l1_objective_numba
-else:
-    jacobi_eigh = jacobi_eigh_numpy
-    decode6d_batch = decode6d_batch_numpy
-    pairwise_mean_distance = pairwise_mean_distance_numpy
-    mc_l1_objective = mc_l1_objective_numpy

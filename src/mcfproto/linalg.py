@@ -1,18 +1,10 @@
-"""Small dense linear algebra: symmetric eigensolver, covariance, norms.
-
-All matrices here are tiny (dimension <= 16), so the eigensolver uses
-cyclic Jacobi sweeps, which are simple and robust at this scale.
-"""
+"""Small dense linear algebra: symmetric eigendecomposition, covariance."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-
 MAX_DIM = 16
-_JACOBI_TOL = 1e-12
-_MAX_SWEEPS = 100
 
 
 class LinalgError(ValueError):
@@ -42,7 +34,7 @@ def check_finite(a, name="array"):
 
 
 def sym_eigen(A):
-    """Eigendecomposition of a symmetric matrix via cyclic Jacobi sweeps.
+    """Eigendecomposition of a small symmetric matrix.
 
     Raises LinalgError for non-symmetric, non-finite, or oversized input.
     Eigenvector signs are fixed so the largest-magnitude component of each
@@ -58,10 +50,9 @@ def sym_eigen(A):
     if scale > 0 and np.abs(A - A.T).max() > 1e-12 * max(scale, 1.0):
         raise LinalgError("matrix is not symmetric")
     A = 0.5 * (A + A.T)
-    w, V = kernels.jacobi_eigh(A, _JACOBI_TOL, _MAX_SWEEPS)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    V = V[:, order]
+    w, V = np.linalg.eigh(A)
+    w = w[::-1]
+    V = V[:, ::-1]
     # deterministic sign convention
     for i in range(n):
         j = np.argmax(np.abs(V[:, i]))
@@ -86,8 +77,3 @@ def covariance(samples, centered=True):
         X = X - X.mean(axis=0)
     return (X.T @ X) / (n - 1)
 
-
-def frobenius_sq(A):
-    """Sum of squared entries."""
-    A = check_finite(A, "matrix")
-    return float((A * A).sum())

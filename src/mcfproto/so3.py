@@ -1,4 +1,4 @@
-"""SO(3) geometry: 6D rotation decode, geodesic smoothness, axis-angle.
+"""SO(3) geometry: 6D rotation decode, axis-angle, uniform sampling.
 
 Rotations are plain (…, 3, 3) float arrays; validity means R^T R = I and
 det R = +1 within tolerance. The 6D parameterization is two raw 3-vectors
@@ -8,13 +8,11 @@ det R = +1 within tolerance. The 6D parameterization is two raw 3-vectors
 
 import numpy as np
 
-from . import kernels
-
 GS_EPS = 1e-8
 ROT_TOL = 1e-9
 
 
-class DegenerateParamError(ValueError):
+class DegenerateParamError(ArithmeticError):
     """Raised when a 6D parameter cannot be decoded (near-zero norm or
     near-collinear a1, a2)."""
 
@@ -28,56 +26,46 @@ def is_rotation(R, tol=ROT_TOL):
     return bool(np.all(err < tol) and np.all(np.abs(det - 1.0) < tol))
 
 
+def gram_schmidt(p):
+    """Gram-Schmidt decode of 6D parameters (…, 6) into rotations (…, 3, 3).
+
+    Columns are (b1, b2, b1 x b2) with b1 = a1 / n1 and b2 = c2 / n2, where
+    c2 = a2 - d b1 and d = b1 . a2. Returns (R, n1, n2, d), the norms and
+    the projection with a trailing axis of size 1, for the analytic
+    backward. Raises DegenerateParamError when n1 or n2 is below GS_EPS.
+    """
+    a1, a2 = p[..., :3], p[..., 3:]
+    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
+    if (n1 < GS_EPS).any():
+        raise DegenerateParamError("first 6D column has near-zero norm")
+    b1 = a1 / n1
+    d = (b1 * a2).sum(axis=-1, keepdims=True)
+    c2 = a2 - d * b1
+    n2 = np.linalg.norm(c2, axis=-1, keepdims=True)
+    if (n2 < GS_EPS).any():
+        raise DegenerateParamError("6D columns are near-collinear")
+    b2 = c2 / n2
+    return np.stack([b1, b2, np.cross(b1, b2)], axis=-1), n1, n2, d
+
+
 def decode_6d(p):
     """Decode 6D rotation parameters (…, 6) to rotation matrices (…, 3, 3).
 
-    Columns are (b1, b2, b1 x b2) with b1 = a1/|a1| and b2 the normalized
-    Gram-Schmidt residual of a2. Raises DegenerateParamError when either
-    normalization is below GS_EPS.
+    Raises DegenerateParamError for non-finite or degenerate parameters
+    (see gram_schmidt).
     """
     p = np.asarray(p, dtype=float)
     if p.shape[-1] != 6:
         raise ValueError(f"expected trailing dimension 6, got {p.shape}")
-    flat = p.reshape(-1, 6)
-    if not np.all(np.isfinite(flat)):
+    if not np.all(np.isfinite(p)):
         raise DegenerateParamError("non-finite 6D parameters")
-    n1 = np.linalg.norm(flat[:, :3], axis=1)
-    if np.any(n1 < GS_EPS):
-        raise DegenerateParamError("first 6D column has near-zero norm")
-    b1 = flat[:, :3] / n1[:, None]
-    resid = flat[:, 3:] - (b1 * flat[:, 3:]).sum(axis=1, keepdims=True) * b1
-    if np.any(np.linalg.norm(resid, axis=1) < GS_EPS):
-        raise DegenerateParamError("6D columns are near-collinear")
-    R = kernels.decode6d_batch(np.ascontiguousarray(flat))
-    return R.reshape(p.shape[:-1] + (3, 3))
+    return gram_schmidt(p)[0]
 
 
 def encode_6d(R):
     """First two columns of R, flattened to (…, 6). Left inverse of decode_6d."""
     R = np.asarray(R, dtype=float)
     return np.concatenate([R[..., :, 0], R[..., :, 1]], axis=-1)
-
-
-def geodesic_cos(r_prev, r_cur):
-    """cos of the geodesic angle between two rotations, clamped to [-1, 1].
-
-    Computed as (tr(r_cur r_prev^T) - 1) / 2; tr(A B^T) is the elementwise
-    product sum, so no explicit matmul is needed.
-    """
-    r_prev = np.asarray(r_prev, dtype=float)
-    r_cur = np.asarray(r_cur, dtype=float)
-    tr = (r_cur * r_prev).sum(axis=(-2, -1))
-    return np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
-
-
-def smoothness_loss(r_prev, r_cur):
-    """1 - cos(geodesic angle); 0 for identical rotations, 2 at 180 degrees."""
-    return 1.0 - geodesic_cos(r_prev, r_cur)
-
-
-def rotate_vec(R, v):
-    """Apply rotation(s) to vector(s): (…, 3, 3) x (…, 3) -> (…, 3)."""
-    return np.einsum("...ij,...j->...i", np.asarray(R, float), np.asarray(v, float))
 
 
 def axis_angle_to_rotation(w):

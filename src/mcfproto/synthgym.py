@@ -49,9 +49,6 @@ class TaskTemplate:
     name: str
     stages: tuple
 
-    def total_steps(self):
-        return sum(s.n_steps for s in self.stages)
-
     def canonical_rollout(self):
         """Canonical-frame actions: (T, 3) trans, (T, 3) rot, (T,) gripper."""
         trans, rot, grip = [], [], []
@@ -226,10 +223,15 @@ def load_jsonl(path):
             task = doc["task"]
             if task not in task_names:
                 task_names.append(task)
-            q = so3.decode_6d(np.array(doc["q_6d"], dtype=float))
+            try:
+                q = so3.decode_6d(np.array(doc["q_6d"], dtype=float))
+            except so3.DegenerateParamError as exc:
+                raise ValueError(f"invalid q_6d in {path}: {exc}") from exc
             obs = np.array([s["obs"] for s in doc["steps"]], dtype=float)
             actions = np.array([s["action"] for s in doc["steps"]], dtype=float)
             episodes.append(Episode(task, task_names.index(task), q, obs, actions))
+    if not episodes:
+        raise ValueError(f"dataset {path} holds no episodes")
     return Dataset(episodes, task_names, noise_scale=float("nan"), seed=-1)
 
 

@@ -280,8 +280,6 @@ def verify(dim=3, trials=20, seed=0, mc_samples=10 ** 5, restarts=8):
         sigma = random_spd(rng, dim)
         sampler = EllipticalSampler(sigma, seed=seed * 1000 + trial)
         R = _random_orthogonal(rng, dim)
-        if np.linalg.det(R) < 0:
-            R[:, [0, 1]] = R[:, [1, 0]]
         mc, se = j_monte_carlo(R, sampler, mc_samples)
         closed = j_closed_form(R, sigma)
         mc_ok = abs(mc - closed) <= 3.0 * se

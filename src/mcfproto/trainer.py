@@ -164,6 +164,18 @@ def eval_loss_act(obs, targets, params, config, batch=512):
 # training
 # ---------------------------------------------------------------------------
 
+def _truncate_metrics(path, last_step):
+    """Keep the header and the rows of metrics.csv up to last_step, so a
+    resumed run appends to the log an uninterrupted run would have."""
+    with open(path, newline="") as f:
+        lines = f.readlines()
+    kept = lines[:1] + [
+        line for line in lines[1:] if int(line.split(",", 1)[0]) <= last_step
+    ]
+    with open(path, "w", newline="") as f:
+        f.writelines(kept)
+
+
 def train(dataset, head_config, train_config, out_dir=None, resume=None):
     """Train the head; returns (params, metrics, best) where metrics is a
     list of row dicts (METRIC_COLUMNS) and best = (val_loss, step).
@@ -205,10 +217,13 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
     writer = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        mode = "a" if resume is not None else "w"
-        f = open(os.path.join(out_dir, "metrics.csv"), mode)
+        metrics_path = os.path.join(out_dir, "metrics.csv")
+        append = resume is not None and os.path.exists(metrics_path)
+        if append:
+            _truncate_metrics(metrics_path, start_step)
+        f = open(metrics_path, "a" if append else "w")
         writer = csv.writer(f)
-        if mode == "w":
+        if not append:
             writer.writerow(METRIC_COLUMNS)
 
     n_chunks = len(tr_obs)
@@ -236,7 +251,7 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
                     best_snapshot = {k: p.value.copy() for k, p in params.items()}
                 row = [step + 1, lr, parts["loss_total"], parts["loss_act"],
                        parts["loss_ortho"], parts["loss_smooth"], val]
-            elif (step + 1) % 100 == 0 or step == start_step:
+            elif (step + 1) % 100 == 0 or step == 0:
                 row = [step + 1, lr, parts["loss_total"], parts["loss_act"],
                        parts["loss_ortho"], parts["loss_smooth"], ""]
             if row is not None:
@@ -303,7 +318,8 @@ def ablation_suite(dataset, head_config, train_config, seeds=(0, 1, 2),
     """Run all six ablation rows over the given seeds.
 
     Returns a list of row dicts with per-seed validation losses and
-    mean/std; continues remaining rows if one fails.
+    mean/std; continues remaining rows if one fails numerically (divergence
+    or a degenerate frame). Any other exception propagates.
     """
     results = []
     for name, *_ in ABLATION_ROWS:
@@ -315,7 +331,7 @@ def ablation_suite(dataset, head_config, train_config, seeds=(0, 1, 2),
             try:
                 _, _, (best_val, _) = train(dataset, hc, tc)
                 vals.append(best_val)
-            except Exception as exc:  # keep remaining rows running
+            except (TrainingDiverged, ArithmeticError) as exc:
                 log.error("ablation row %s seed %d failed: %s", name, seed, exc)
                 errors.append(str(exc))
         row = {

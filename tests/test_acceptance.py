@@ -63,9 +63,11 @@ def held_outputs(datasets, trained):
     params, hc = trained["params"], trained["config"]
     world, local, compat = {}, {}, {}
     local_by_episode = {}
+    outputs = []
     t0 = time.time()
     for ep in held.episodes:
         out = diagnostics.predict_step_outputs(params, hc, ep.obs)
+        outputs.append(out)
         frames = out["frames"]
         loc = diagnostics.local_actions(ep.actions, frames)
         world.setdefault(ep.task, []).append(ep.actions[:, :6])
@@ -77,6 +79,7 @@ def held_outputs(datasets, trained):
         "local": {k: np.concatenate(v) for k, v in local.items()},
         "compat": compat,
         "local_by_episode": local_by_episode,
+        "outputs": outputs,
         "diagnose_seconds": time.time() - t0,
     }
 
@@ -241,7 +244,7 @@ def test_ac7_ablation_ordering(ablation):
 
 def test_ac8_gating_and_phases(datasets, trained, held_outputs):
     _, held = datasets
-    usage = diagnostics.usage_matrix(trained["params"], trained["config"], held)
+    usage = diagnostics.usage_matrix(held, held_outputs["outputs"])
     ent = diagnostics.row_entropy(usage["rot"])
     by_task = dict(zip(usage["tasks"], ent))
     knob = by_task["knob-turn"]

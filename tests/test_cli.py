@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mcfproto import cli
+from mcfproto import cli, linalg, so3, trainer
 
 
 def run_cli(args):
@@ -101,6 +101,8 @@ def test_train_and_diagnose_pipeline(tmp_path):
     assert set(report["concentration"]) == {"world", "learned_local"}
     assert report["compatibility"]["random_mc_baseline_deg"] == pytest.approx(
         31.9, abs=1.0)
+    for frames in ("learned", "ground_truth", "random"):
+        assert "records" not in report["compatibility"][frames]
 
 
 def test_train_rerun_from_resolved_config_bitwise(tmp_path):
@@ -126,6 +128,36 @@ def test_train_obs_dim_mismatch(tmp_path, capsys):
                     "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_VALIDATION
     assert "obs dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    "",
+    '{"schema_version": 1, "task": "x", "q_6d": [1, 0, 0, 2, 0, 0], "steps": []}\n',
+], ids=["empty", "degenerate_q_6d"])
+def test_train_rejects_bad_dataset(tmp_path, capsys, content):
+    data = tmp_path / "data.jsonl"
+    data.write_text(content)
+    code = run_cli(["train", "--data", str(data), "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("exc, code", [
+    (cli.ConfigError("unknown key"), cli.EXIT_VALIDATION),
+    (ValueError("bad value"), cli.EXIT_VALIDATION),
+    (linalg.LinalgError("matrix is not symmetric"), cli.EXIT_VALIDATION),
+    (so3.DegenerateParamError("6D columns are near-collinear"), cli.EXIT_RUNTIME),
+    (trainer.TrainingDiverged(3, float("nan")), cli.EXIT_RUNTIME),
+    (FloatingPointError("overflow"), cli.EXIT_RUNTIME),
+], ids=["ConfigError", "ValueError", "LinalgError", "DegenerateParamError",
+        "TrainingDiverged", "FloatingPointError"])
+def test_failure_class_exit_code(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_verify_theorem", fail)
+    assert run_cli(["verify-theorem"]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_ablate_writes_csv(tmp_path):

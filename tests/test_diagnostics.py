@@ -159,7 +159,9 @@ def test_predict_step_outputs_shapes():
 def test_usage_matrix_simplex_rows():
     params, cfg = _tiny_model()
     ds = synthgym.generate(synthgym.default_templates(), 2, seed=9)
-    usage = diagnostics.usage_matrix(params, cfg, ds)
+    outputs = [diagnostics.predict_step_outputs(params, cfg, ep.obs)
+               for ep in ds.episodes]
+    usage = diagnostics.usage_matrix(ds, outputs)
     assert usage["trans"].shape == (5, 4)
     assert np.abs(usage["trans"].sum(axis=1) - 1.0).max() < 1e-9
     assert np.abs(usage["rot"].sum(axis=1) - 1.0).max() < 1e-9

@@ -80,8 +80,3 @@ def test_covariance_trace_invariant_under_fixed_rotation():
     t2 = np.trace(linalg.covariance(X @ Q.T))
     assert abs(t1 - t2) < 1e-10 * max(t1, 1)
 
-
-def test_frobenius_sq():
-    assert linalg.frobenius_sq(np.eye(2)) == 2.0
-    assert linalg.frobenius_sq(np.zeros((3, 3))) == 0.0
-    assert linalg.frobenius_sq(np.ones((3, 3))) == 9.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcfproto import head, synthgym, trainer
+from mcfproto import head, so3, synthgym, trainer
 
 
 def tiny_dataset(seed=0, episodes=6):
@@ -119,6 +119,8 @@ def test_resume_bitwise_identical(tmp_path):
                              resume=str(out_b / "ckpt_20.json"))
     for k in pa:
         assert np.array_equal(pa[k].value, pb[k].value)
+    assert (out_b / "metrics.csv").read_bytes() == \
+        (out_a / "metrics.csv").read_bytes()
 
 
 def test_resume_rejects_config_mismatch(tmp_path):
@@ -187,3 +189,29 @@ def test_ablation_suite_output(tmp_path):
     assert path.exists()
     text = path.read_text()
     assert "bc-mlp" in text and "mcf-proto-full" in text
+
+
+@pytest.mark.parametrize("exc", [
+    trainer.TrainingDiverged(5, float("nan")),
+    so3.DegenerateParamError("6D columns are near-collinear"),
+], ids=["TrainingDiverged", "DegenerateParamError"])
+def test_ablation_suite_records_runtime_failures(monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(trainer, "train", fail)
+    hc, tc = tiny_configs()
+    rows = trainer.ablation_suite(tiny_dataset(episodes=1), hc, tc, seeds=(0,))
+    assert len(rows) == len(trainer.ABLATION_ROWS)
+    for r in rows:
+        assert r["mean"] is None and r["errors"] == [str(exc)]
+
+
+def test_ablation_suite_propagates_programming_errors(monkeypatch):
+    def fail(*args, **kwargs):
+        raise TypeError("train() got an unexpected keyword argument")
+
+    monkeypatch.setattr(trainer, "train", fail)
+    hc, tc = tiny_configs()
+    with pytest.raises(TypeError):
+        trainer.ablation_suite(tiny_dataset(episodes=1), hc, tc, seeds=(0,))
