@@ -15,6 +15,7 @@ logit is identically [1]).
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -328,7 +329,8 @@ def loss_total(obs, targets, params, config):
 
 def save_checkpoint(path, params, config, extra=None):
     """JSON checkpoint; float repr round-trips exactly, so save -> load ->
-    forward is bitwise identical."""
+    forward is bitwise identical. Written to a temporary file beside `path`
+    and moved onto it, so a crash mid-write leaves any old checkpoint whole."""
     doc = {
         "schema_version": CHECKPOINT_SCHEMA,
         "config": asdict(config),
@@ -336,8 +338,10 @@ def save_checkpoint(path, params, config, extra=None):
     }
     if extra:
         doc["extra"] = extra
-    with open(path, "w") as f:
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as f:
         json.dump(doc, f)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path):

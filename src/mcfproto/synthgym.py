@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3
+from .head import ActionLayout
 
 SCHEMA_VERSION = 1
 DEFAULT_MAX_STEP = 0.05
@@ -208,13 +209,27 @@ def save_jsonl(dataset, path):
             f.write(json.dumps(doc) + "\n")
 
 
+def _step_array(rows, what, where):
+    try:
+        arr = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 2:
+        raise ValueError(f"{where}: {what} rows are not equally wide numbers")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{where}: non-finite {what} value")
+    return arr
+
+
 def load_jsonl(path):
     episodes = []
     task_names = []
+    action_dim = ActionLayout().dim
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
+            where = f"{path}, line {lineno}"
             doc = json.loads(line)
             if doc.get("schema_version") != SCHEMA_VERSION:
                 raise ValueError(
@@ -226,9 +241,18 @@ def load_jsonl(path):
             try:
                 q = so3.decode_6d(np.array(doc["q_6d"], dtype=float))
             except so3.DegenerateParamError as exc:
-                raise ValueError(f"invalid q_6d in {path}: {exc}") from exc
-            obs = np.array([s["obs"] for s in doc["steps"]], dtype=float)
-            actions = np.array([s["action"] for s in doc["steps"]], dtype=float)
+                raise ValueError(f"invalid q_6d in {where}: {exc}") from exc
+            if not doc["steps"]:
+                raise ValueError(f"{where}: episode has no steps")
+            obs = _step_array([s["obs"] for s in doc["steps"]], "obs", where)
+            actions = _step_array([s["action"] for s in doc["steps"]], "action",
+                                  where)
+            if episodes and obs.shape[1] != episodes[0].obs.shape[1]:
+                raise ValueError(f"{where}: obs width {obs.shape[1]} differs from "
+                                 f"{episodes[0].obs.shape[1]} on earlier lines")
+            if actions.shape[1] != action_dim:
+                raise ValueError(f"{where}: action width {actions.shape[1]} is "
+                                 f"not {action_dim}")
             episodes.append(Episode(task, task_names.index(task), q, obs, actions))
     if not episodes:
         raise ValueError(f"dataset {path} holds no episodes")

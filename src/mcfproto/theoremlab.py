@@ -3,7 +3,7 @@ rotations is minimized by the eigenframe of the sample covariance.
 
 Three independent routes are checked against each other:
   * the closed form  J(R) = c * sum_i sqrt((R^T Sigma R)_ii),
-  * a Monte-Carlo estimate of E ||R^T a||_1 under an elliptical sampler,
+  * a Monte-Carlo estimate of E ||R^T a||_1 under a Gaussian sampler,
   * multi-restart gradient minimization over SO(d), whose optimum must land
     on the eigenframe (modulo signed permutation) with value c * sum sqrt(lambda_i),
 together with the Schur-Horn majorization and Karamata inequality the
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import linalg, so3
+from . import linalg, trainer
 
 GAUSSIAN_C = np.sqrt(2.0 / np.pi)  # E|z_1| for a standard normal
 
@@ -30,39 +30,19 @@ def sigma_sqrt(sigma):
 
 @dataclass
 class EllipticalSampler:
-    """Draws a = Sigma^{1/2} z with z spherically symmetric, identity
-    covariance. base: "gaussian" (c = sqrt(2/pi)) or "sphere" (uniform on
-    the radius-sqrt(d) sphere)."""
+    """Draws a = Sigma^{1/2} z with z standard normal, so E|z_1| = GAUSSIAN_C."""
 
     sigma: np.ndarray
-    base: str = "gaussian"
     seed: int = 0
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
         self.dim = self.sigma.shape[0]
         self.root = sigma_sqrt(self.sigma)
-        if self.base not in ("gaussian", "sphere"):
-            raise ValueError(f"unknown base distribution: {self.base}")
 
     def sample(self, n, stream=0):
         rng = np.random.Generator(np.random.Philox(key=[self.seed, stream]))
-        z = rng.normal(size=(n, self.dim))
-        if self.base == "sphere":
-            z = z / np.linalg.norm(z, axis=1, keepdims=True) * np.sqrt(self.dim)
-        return z @ self.root.T
-
-    @property
-    def c(self):
-        if self.base == "gaussian":
-            return GAUSSIAN_C
-        # E|z_1| for z uniform on the radius-sqrt(d) sphere: sqrt(d) * E|u_1|
-        # with u uniform on S^{d-1}; computed by quadrature-free closed form
-        # E|u_1| = Gamma(d/2) / (sqrt(pi) * Gamma((d+1)/2)).
-        from math import gamma, pi, sqrt
-
-        d = self.dim
-        return sqrt(d) * gamma(d / 2.0) / (sqrt(pi) * gamma((d + 1) / 2.0))
+        return rng.normal(size=(n, self.dim)) @ self.root.T
 
 
 def _check_orthogonal(R, tol=1e-9):
@@ -100,70 +80,35 @@ def analytic_minimum(sigma, c=GAUSSIAN_C):
 # minimization over SO(d)
 # ---------------------------------------------------------------------------
 
-def _j_node_3d(p6, sigma_const, c):
-    R = ad.gram_schmidt_6d(p6)
-    M = ad.matmul(ad.matmul(ad.transpose(R), sigma_const), R)
-    return ad.affine(ad.arr_sum(ad.sqrt(ad.diagonal(M))), c)
-
-
-def _minimize_3d(sigma, c, rng, iters=400, lr=0.05):
-    init = so3.encode_6d(so3.random_rotation(rng)) + rng.normal(0, 1e-3, 6)
-    p = ad.Param(init, "p6")
-    sigma_const = ad.constant(sigma)
-    m = np.zeros(6)
-    v = np.zeros(6)
-    for t in range(1, iters + 1):
-        node = _j_node_3d(p, sigma_const, c)
-        p.zero_grad()
-        ad.backward(node)
-        g = p.grad
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
-        step_lr = lr * 0.5 * (1.0 + np.cos(np.pi * (t - 1) / iters))
-        p.value -= step_lr * (m / (1 - 0.9 ** t)) / (
-            np.sqrt(v / (1 - 0.999 ** t)) + 1e-12
-        )
-    R = so3.decode_6d(p.value)
-    return R, j_closed_form(R, sigma, c)
-
-
 def _cayley(theta, dim):
     A = np.zeros((dim, dim))
-    k = 0
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            A[i, j] = theta[k]
-            A[j, i] = -theta[k]
-            k += 1
+    A[np.triu_indices(dim, 1)] = theta
+    A -= A.T
     eye = np.eye(dim)
     return np.linalg.solve(eye - A, eye + A)
 
 
-def _minimize_general(sigma, c, rng, dim, iters=400, lr=0.05, fd_step=1e-6):
+def _body_grad(R, sigma, c):
+    """Gradient of theta -> J(R cayley(theta)) at theta = 0, for i < j:
+    2c (H_ij - H_ji) with M = R^T Sigma R and H = M diag(M)^-1/2."""
+    M = R.T @ sigma @ R
+    H = M / np.sqrt(np.diagonal(M))
+    return 2.0 * c * (H - H.T)[np.triu_indices(len(M), 1)]
+
+
+def _minimize(sigma, c, rng, dim, iters=400, lr=0.05):
+    """Adam in Cayley coordinates, re-centred at the current R every step."""
     n_par = dim * (dim - 1) // 2
-    theta = rng.normal(0.0, 0.5, n_par)
-    m = np.zeros(n_par)
-    v = np.zeros(n_par)
-
-    def obj(th):
-        return j_closed_form(_cayley(th, dim), sigma, c)
-
-    for t in range(1, iters + 1):
-        g = np.empty(n_par)
-        for k in range(n_par):
-            up = theta.copy()
-            dn = theta.copy()
-            up[k] += fd_step
-            dn[k] -= fd_step
-            g[k] = (obj(up) - obj(dn)) / (2 * fd_step)
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
-        step_lr = lr * 0.5 * (1.0 + np.cos(np.pi * (t - 1) / iters))
-        theta -= step_lr * (m / (1 - 0.9 ** t)) / (
-            np.sqrt(v / (1 - 0.999 ** t)) + 1e-12
-        )
-    R = _cayley(theta, dim)
-    return R, obj(theta)
+    R = _cayley(rng.normal(0.0, 0.5, n_par), dim)
+    theta = ad.Param(np.zeros(n_par), "theta")
+    cfg = trainer.TrainConfig(steps=iters, warmup=0, lr=lr, weight_decay=0.0)
+    opt = trainer.AdamW({"theta": theta}, cfg)
+    for t in range(iters):
+        theta.value[:] = 0.0
+        theta.grad = _body_grad(R, sigma, c)
+        opt.step(trainer.cosine_lr(t, cfg))
+        R = R @ _cayley(theta.value, dim)
+    return R, j_closed_form(R, sigma, c)
 
 
 def alignment_report(R, sigma, degenerate_gap=1e-6):
@@ -207,10 +152,7 @@ def minimize_over_so(sigma, c=GAUSSIAN_C, restarts=32, seed=0, iters=400):
     best = None
     for r in range(restarts):
         rng = np.random.Generator(np.random.Philox(key=[seed, r]))
-        if dim == 3:
-            R, val = _minimize_3d(sigma, c, rng, iters=iters)
-        else:
-            R, val = _minimize_general(sigma, c, rng, dim, iters=iters)
+        R, val = _minimize(sigma, c, rng, dim, iters=iters)
         if best is None or val < best[1]:
             best = (R, val)
     R_star, j_star = best
@@ -259,7 +201,7 @@ def random_spd(rng, dim, eigengap_ratio=1.05, lam_range=(0.2, 9.0)):
         lam = np.sort(rng.uniform(*lam_range, dim))[::-1]
         if np.all(lam[:-1] / lam[1:] > eigengap_ratio):
             break
-    Q = so3.random_rotation(rng) if dim == 3 else _random_orthogonal(rng, dim)
+    Q = _random_orthogonal(rng, dim)
     return Q @ np.diag(lam) @ Q.T
 
 

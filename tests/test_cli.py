@@ -130,16 +130,32 @@ def test_train_obs_dim_mismatch(tmp_path, capsys):
     assert "obs dim" in capsys.readouterr().err
 
 
+def episode_line(*steps):
+    return json.dumps({"schema_version": 1, "task": "x",
+                       "q_6d": [1, 0, 0, 0, 1, 0], "steps": list(steps)}) + "\n"
+
+
+def step(obs_width=15, action_width=7, obs_value=0.0):
+    return {"obs": [obs_value] * obs_width, "action": [0.0] * action_width}
+
+
 @pytest.mark.parametrize("content", [
     "",
     '{"schema_version": 1, "task": "x", "q_6d": [1, 0, 0, 2, 0, 0], "steps": []}\n',
-], ids=["empty", "degenerate_q_6d"])
+    episode_line(),
+    episode_line(step()) + episode_line(step(obs_width=14)),
+    episode_line(step(action_width=5)),
+    episode_line(step(obs_value=float("nan"))),
+], ids=["empty", "degenerate_q_6d", "no_steps", "ragged_obs", "action_width",
+        "nan_obs"])
 def test_train_rejects_bad_dataset(tmp_path, capsys, content):
     data = tmp_path / "data.jsonl"
     data.write_text(content)
     code = run_cli(["train", "--data", str(data), "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_VALIDATION
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(data) in err
 
 
 @pytest.mark.parametrize("exc, code", [
@@ -174,13 +190,14 @@ def test_ablate_writes_csv(tmp_path):
 
 
 def test_verify_theorem_small(tmp_path, capsys):
-    out = tmp_path / "thm"
-    code = run_cli(["verify-theorem", "--dim", "2", "--trials", "2",
-                    "--out", str(out)])
-    assert code == cli.EXIT_OK
-    assert "overall: pass" in capsys.readouterr().out
-    report = json.loads((out / "theorem_report.json").read_text())
-    assert report["pass"] is True
+    for args in (["--dim", "2", "--trials", "2"],
+                 ["--dim", "6", "--trials", "1", "--seed", "1"]):
+        out = tmp_path / f"thm_{args[1]}"
+        code = run_cli(["verify-theorem", *args, "--out", str(out)])
+        assert code == cli.EXIT_OK, args
+        assert "overall: pass" in capsys.readouterr().out
+        report = json.loads((out / "theorem_report.json").read_text())
+        assert report["pass"] is True
 
 
 def test_verify_theorem_bad_args(capsys):

@@ -216,6 +216,25 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert np.array_equal(a1, a2)
 
 
+def test_checkpoint_crash_keeps_old_file(tmp_path, monkeypatch):
+    cfg = small_config()
+    params = head.init_params(cfg, np.random.default_rng(20))
+    path = tmp_path / "ckpt.json"
+    head.save_checkpoint(path, params, cfg, extra={"step": 3})
+    before = path.read_bytes()
+
+    def partial_dump(doc, f):
+        f.write('{"schema_version": 1, "config": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(head.json, "dump", partial_dump)
+    with pytest.raises(OSError):
+        head.save_checkpoint(path, params, cfg, extra={"step": 4})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert head.load_checkpoint(path)[2] == {"step": 3}
+
+
 def test_checkpoint_schema_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"schema_version": 99, "config": {}, "params": {}}')
