@@ -1,9 +1,10 @@
 """Reverse-mode differentiation on a small array-valued tape.
 
 The primitive set is closed over everything the action head's forward pass
-needs: dense linear layers, tanh, softmax, the 6D rotation decode, prototype
-composition, frame application, and the three loss shapes (L1, Smooth-L1,
-trace/clamp geodesic). Everything is float64; gradients are exact
+needs: dense linear layers, tanh, softmax, the 6D rotation decode, batched
+matmul, and the three loss shapes (L1, Smooth-L1, trace/clamp geodesic).
+Prototype composition and frame application are matmul/reshape compositions
+with no backward of their own. Everything is float64; gradients are exact
 vector-Jacobian products, no numerical approximation anywhere in backward.
 
 L1 and Smooth-L1 nodes record their residuals as "kink values" so that
@@ -273,34 +274,15 @@ def compose_protos(pi, dictionary, z):
 
     pi: (…, K), dictionary: (K, 3, d), z: (…, d) -> (…, 3).
     """
-    D = dictionary.value
-    out_val = np.einsum("...k,kij,...j->...i", pi.value, D, z.value)
-    out = Node(out_val, (pi, dictionary, z))
-
-    def backward(g):
-        gpi = np.einsum("...i,kij,...j->...k", g, D, z.value)
-        pf = pi.value.reshape(-1, pi.shape[-1])
-        gf = g.reshape(-1, g.shape[-1])
-        zf = z.value.reshape(-1, z.shape[-1])
-        gD = np.einsum("nk,ni,nj->kij", pf, gf, zf)
-        gz = np.einsum("...k,kij,...i->...j", pi.value, D, g)
-        return gpi, gD, gz
-
-    out.backward_fn = backward
-    return out
+    k, rows, d = dictionary.shape
+    lead = pi.shape[:-1]
+    mix = reshape(matmul(pi, reshape(dictionary, (k, rows * d))), lead + (rows, d))
+    return reshape(matmul(mix, reshape(z, lead + (d, 1))), lead + (rows,))
 
 
 def apply_frame(R, v):
     """Rotate vectors by stacked frames: (…, 3, 3) x (…, 3) -> (…, 3)."""
-    out = Node(np.einsum("...ij,...j->...i", R.value, v.value), (R, v))
-
-    def backward(g):
-        gR = np.einsum("...i,...j->...ij", g, v.value)
-        gv = np.einsum("...ij,...i->...j", R.value, g)
-        return gR, gv
-
-    out.backward_fn = backward
-    return out
+    return reshape(matmul(R, reshape(v, v.shape + (1,))), v.shape)
 
 
 # ---------------------------------------------------------------------------

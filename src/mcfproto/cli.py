@@ -50,6 +50,19 @@ def default_config():
     }
 
 
+def _type_mismatch(default, val):
+    """None when `val` has the JSON type that a key with this default takes;
+    otherwise what the key takes."""
+    if isinstance(default, bool):
+        return None if isinstance(val, bool) else "true or false"
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if isinstance(default, int):
+        return None if number and isinstance(val, int) else "an integer"
+    if default is None:
+        return None if number or val is None else "a number or null"
+    return None if number else "a number"
+
+
 def load_config(path):
     merged = default_config()
     if path is None:
@@ -64,6 +77,10 @@ def load_config(path):
         for key, val in values.items():
             if key not in merged[section]:
                 raise ConfigError(f"unknown config key: {section}.{key}")
+            expected = _type_mismatch(merged[section][key], val)
+            if expected:
+                raise ConfigError(f"config key {section}.{key} must be "
+                                  f"{expected}, got {json.dumps(val)}")
             merged[section][key] = val
     return merged
 

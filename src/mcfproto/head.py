@@ -16,7 +16,7 @@ logit is identically [1]).
 import json
 import logging
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -345,10 +345,31 @@ def save_checkpoint(path, params, config, extra=None):
 
 
 def load_checkpoint(path):
+    """Read a save_checkpoint document: (params, config, extra). Raises
+    ValueError naming `path` when it is not one for a head of its config."""
     with open(path) as f:
         doc = json.load(f)
+
+    def invalid(what):
+        return ValueError(f"checkpoint {path}: {what}")
+
+    if not isinstance(doc, dict):
+        raise invalid("not a JSON object")
     if doc.get("schema_version") != CHECKPOINT_SCHEMA:
-        raise ValueError(f"unsupported checkpoint schema: {doc.get('schema_version')}")
-    config = HeadConfig(**doc["config"])
-    params = {k: ad.Param(np.array(v, dtype=float), k) for k, v in doc["params"].items()}
+        raise invalid(f"unsupported checkpoint schema: {doc.get('schema_version')}")
+    for key in ("config", "params"):
+        if not isinstance(doc.get(key), dict):
+            raise invalid(f"no {key!r} object")
+    try:
+        config = HeadConfig(**doc["config"])
+        params = {k: ad.Param(np.array(v, dtype=float), k)
+                  for k, v in doc["params"].items()}
+    except (TypeError, ValueError) as exc:
+        raise invalid(str(exc)) from exc
+    expected = init_params(config, np.random.default_rng(0))
+    if set(params) != set(expected):
+        raise invalid(f"tensors {sorted(params)} are not {sorted(expected)}")
+    for k, p in expected.items():
+        if params[k].shape != p.shape:
+            raise invalid(f"tensor {k} has shape {params[k].shape}, not {p.shape}")
     return params, config, doc.get("extra")

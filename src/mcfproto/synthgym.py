@@ -209,6 +209,14 @@ def save_jsonl(dataset, path):
             f.write(json.dumps(doc) + "\n")
 
 
+def _field(doc, key, where):
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    if key not in doc:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return doc[key]
+
+
 def _step_array(rows, what, where):
     try:
         arr = np.array(rows, dtype=float)
@@ -230,23 +238,28 @@ def load_jsonl(path):
             if not line.strip():
                 continue
             where = f"{path}, line {lineno}"
-            doc = json.loads(line)
-            if doc.get("schema_version") != SCHEMA_VERSION:
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: invalid JSON ({exc.msg})") from exc
+            if _field(doc, "schema_version", where) != SCHEMA_VERSION:
                 raise ValueError(
-                    f"unsupported dataset schema: {doc.get('schema_version')}"
+                    f"{where}: unsupported dataset schema: {doc['schema_version']}"
                 )
-            task = doc["task"]
+            task = _field(doc, "task", where)
             if task not in task_names:
                 task_names.append(task)
+            q6 = _field(doc, "q_6d", where)
             try:
-                q = so3.decode_6d(np.array(doc["q_6d"], dtype=float))
-            except so3.DegenerateParamError as exc:
+                q = so3.decode_6d(np.array(q6, dtype=float).reshape(6))
+            except (so3.DegenerateParamError, TypeError, ValueError) as exc:
                 raise ValueError(f"invalid q_6d in {where}: {exc}") from exc
-            if not doc["steps"]:
+            steps = _field(doc, "steps", where)
+            if not steps:
                 raise ValueError(f"{where}: episode has no steps")
-            obs = _step_array([s["obs"] for s in doc["steps"]], "obs", where)
-            actions = _step_array([s["action"] for s in doc["steps"]], "action",
-                                  where)
+            obs = _step_array([_field(s, "obs", where) for s in steps], "obs", where)
+            actions = _step_array([_field(s, "action", where) for s in steps],
+                                  "action", where)
             if episodes and obs.shape[1] != episodes[0].obs.shape[1]:
                 raise ValueError(f"{where}: obs width {obs.shape[1]} differs from "
                                  f"{episodes[0].obs.shape[1]} on earlier lines")

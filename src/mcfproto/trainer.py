@@ -207,6 +207,9 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
         params, loaded_hc, extra = head_mod.load_checkpoint(resume)
         if asdict(loaded_hc) != asdict(hc):
             raise ValueError("checkpoint head config does not match")
+        if not extra or "optimizer" not in extra:
+            raise ValueError(f"checkpoint {resume} holds no optimizer state; resume "
+                             "from ckpt_final.json or a periodic ckpt_<step>.json")
         opt = AdamW(params, tc)
         opt.load_state(extra["optimizer"])
         start_step = extra["step"]

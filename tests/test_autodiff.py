@@ -87,11 +87,13 @@ def test_repeat_backward_identical_grads():
 
 
 @pytest.mark.parametrize("op_case", [
-    "matmul", "linear", "tanh", "softmax", "gs6d", "compose", "frame",
-    "clamp", "take", "scatter", "slice", "sumlast2", "diag_sqrt",
+    "matmul", "linear", "tanh", "softmax", "gs6d", "compose", "compose_bh",
+    "frame", "frame_bh", "clamp", "take", "scatter", "slice", "sumlast2",
+    "diag_sqrt",
 ])
 def test_primitive_gradients_match_fd(op_case):
     rng = np.random.default_rng(hash(op_case) % 2 ** 32)
+    wrt, tol = None, 1e-6
     if op_case == "matmul":
         x = ad.Param(rng.normal(size=(3, 4)), "x")
         other = ad.constant(rng.normal(size=(4, 2)))
@@ -118,16 +120,27 @@ def test_primitive_gradients_match_fd(op_case):
         z = ad.Param(rng.normal(size=(2, 3)), "z")
         w = ad.constant(rng.normal(size=(2, 3)))
         fn = lambda: ad.arr_sum(ad.mul(ad.compose_protos(pi, D, z), w))
-        for p in (pi, D, z):
-            a = analytic_grad(fn, p)
-            f = fd_grad(fn, p)
-            assert np.abs(a - f).max() < 1e-7
-        return
+        wrt, tol = (pi, D, z), 1e-7
+    elif op_case == "compose_bh":
+        # the head's (B, H) leading axes, d = 2: the (K, 3d) reshape and the
+        # dictionary gradient summed over both leading axes
+        pi = ad.Param(rng.normal(size=(2, 3, 4)), "pi")
+        D = ad.Param(rng.normal(size=(4, 3, 2)), "D")
+        z = ad.Param(rng.normal(size=(2, 3, 2)), "z")
+        w = ad.constant(rng.normal(size=(2, 3, 3)))
+        fn = lambda: ad.arr_sum(ad.mul(ad.compose_protos(pi, D, z), w))
+        wrt, tol = (pi, D, z), 1e-7
     elif op_case == "frame":
         x = ad.Param(rng.normal(size=(2, 6)), "x")
         v = ad.constant(rng.normal(size=(2, 3)))
         w = ad.constant(rng.normal(size=(2, 3)))
         fn = lambda: ad.arr_sum(ad.mul(ad.apply_frame(ad.gram_schmidt_6d(x), v), w))
+    elif op_case == "frame_bh":
+        x = ad.Param(rng.normal(size=(2, 3, 6)), "x")
+        v = ad.Param(rng.normal(size=(2, 3, 3)), "v")
+        w = ad.constant(rng.normal(size=(2, 3, 3)))
+        fn = lambda: ad.arr_sum(ad.mul(ad.apply_frame(ad.gram_schmidt_6d(x), v), w))
+        wrt = (x, v)
     elif op_case == "clamp":
         x = ad.Param(np.array([-2.0, -0.5, 0.5, 2.0]), "x")
         fn = lambda: ad.arr_sum(ad.mul(ad.clamp(x, -1.0, 1.0), ad.constant([1.0, 2, 3, 4])))
@@ -156,9 +169,10 @@ def test_primitive_gradients_match_fd(op_case):
             R = ad.gram_schmidt_6d(x)
             M = ad.matmul(ad.matmul(ad.transpose(R), spd), R)
             return ad.arr_sum(ad.sqrt(ad.diagonal(M)))
-    a = analytic_grad(fn, x)
-    f = fd_grad(fn, x)
-    assert np.abs(a - f).max() < 1e-6
+    for p in wrt or (x,):
+        a = analytic_grad(fn, p)
+        f = fd_grad(fn, p)
+        assert np.abs(a - f).max() < tol, p.name
 
 
 def test_gradcheck_quadratic():

@@ -1,19 +1,29 @@
 """The benchmark's per-layer tracer (perfbench/layers.py) wraps mcfproto
 functions it looks up by name. These tests fail as soon as the package drops
-or renames one of them, which would make every traced benchmark run die."""
+or renames one of them, which would make every traced benchmark run die, or
+as soon as tracing changes what the program computes."""
 
 import importlib
 import os
 
+import numpy as np
+import pytest
+
 import mcfproto
 import mcfproto.cli  # noqa: F401  imports every module the tracer wraps
+from mcfproto import autodiff as ad
+from mcfproto import head
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
-def test_tracer_installs_and_uninstalls(monkeypatch):
+@pytest.fixture
+def layers(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
-    layers = importlib.import_module("layers")
+    return importlib.import_module("layers")
+
+
+def test_tracer_installs_and_uninstalls(layers):
     originals = (mcfproto.autodiff.sqrt, mcfproto.trainer.AdamW.step,
                  mcfproto.theoremlab.minimize_over_so)
     tracer = layers.Tracer(mcfproto)
@@ -24,3 +34,30 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         tracer.uninstall()
     assert (mcfproto.autodiff.sqrt, mcfproto.trainer.AdamW.step,
             mcfproto.theoremlab.minimize_over_so) == originals
+
+
+def _loss_and_grads():
+    config = head.HeadConfig(hidden=8, k_trans=4, k_rot=4, horizon=3)
+    params = head.init_params(config, np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    obs = rng.normal(size=(5, config.obs_dim))
+    targets = rng.normal(size=(5, config.horizon, config.layout.dim))
+    loss, _ = head.loss_total(obs, targets, params, config)
+    ad.backward(loss)
+    return loss.value, {k: p.grad for k, p in params.items()}
+
+
+def test_tracing_keeps_arithmetic_bitwise(layers):
+    loss, grads = _loss_and_grads()
+    tracer = layers.Tracer(mcfproto)
+    tracer.install()
+    try:
+        traced_loss, traced_grads = _loss_and_grads()
+    finally:
+        tracer.uninstall()
+    assert traced_loss.tobytes() == loss.tobytes()
+    for name, g in grads.items():
+        assert traced_grads[name].tobytes() == g.tobytes(), name
+    for key in ("autodiff.compose_protos", "autodiff.compose_protos.bwd",
+                "autodiff.apply_frame", "autodiff.apply_frame.bwd"):
+        assert tracer.stats[key][0] > 0, key  # calls

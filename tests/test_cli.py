@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mcfproto import cli, linalg, so3, trainer
+from mcfproto import cli, head, linalg, so3, trainer
 
 
 def run_cli(args):
@@ -146,8 +146,14 @@ def step(obs_width=15, action_width=7, obs_value=0.0):
     episode_line(step()) + episode_line(step(obs_width=14)),
     episode_line(step(action_width=5)),
     episode_line(step(obs_value=float("nan"))),
+    "[1, 2]\n",
+    '{"schema_version": 1, "task": "x", "q_6d": [1, 0, 0, 0, 1, 0]}\n',
+    episode_line({"obs": [0.0] * 15}),
+    '{"schema_version": 1, "task": \n',
+    '{"schema_version": 1, "task": "x", "q_6d": null, "steps": []}\n',
 ], ids=["empty", "degenerate_q_6d", "no_steps", "ragged_obs", "action_width",
-        "nan_obs"])
+        "nan_obs", "not_object", "missing_steps", "missing_action", "bad_json",
+        "null_q_6d"])
 def test_train_rejects_bad_dataset(tmp_path, capsys, content):
     data = tmp_path / "data.jsonl"
     data.write_text(content)
@@ -156,6 +162,76 @@ def test_train_rejects_bad_dataset(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert str(data) in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "steps", "x"),
+    ("train", "steps", 2.5),
+    ("train", "lr", "0.1"),
+    ("head", "hidden", "64"),
+], ids=["steps_string", "steps_float", "lr_string", "hidden_string"])
+def test_config_value_type_checked(tmp_path, capsys, section, key, value):
+    data = tmp_path / "data.jsonl"
+    data.write_text(episode_line(step()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({section: {key: value}}))
+    code = run_cli(["train", "--data", str(data), "--config", str(bad),
+                    "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{section}.{key}" in err
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"train": {"lr": 1}, "gym": {"noise_scale": None}}))
+    cfg = cli.load_config(str(good))
+    assert cfg["train"]["lr"] == 1 and cfg["gym"]["noise_scale"] is None
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "config", None),
+    (None, "params", None),
+    ("config", "width", 3),
+    ("params", "rest.b", None),
+    ("params", "dict_rot", np.zeros((2, 3, 2)).tolist()),
+    ("params", "rest.b", [[0.0], []]),
+], ids=["no_config", "no_params", "unknown_config_key", "missing_tensor",
+        "dict_rot_shape", "ragged_tensor"])
+def test_diagnose_rejects_bad_checkpoint(tmp_path, capsys, section, key, value):
+    data = tmp_path / "data.jsonl"
+    data.write_text(episode_line(step()))
+    hc = head.HeadConfig(hidden=4, k_trans=2, k_rot=2, horizon=2)
+    ckpt = tmp_path / "ckpt.json"
+    head.save_checkpoint(str(ckpt), head.init_params(hc, np.random.default_rng(0)),
+                         hc)
+    doc = json.loads(ckpt.read_text())
+    target = doc if section is None else doc[section]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    ckpt.write_text(json.dumps(doc))
+    code = run_cli(["diagnose", "--data", str(data), "--ckpt", str(ckpt),
+                    "--out", str(tmp_path / "diag")])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(ckpt) in err
+
+
+def test_resume_needs_optimizer_state(tmp_path, capsys):
+    cfg = small_config(tmp_path, train={"steps": 10, "warmup": 2,
+                                        "eval_interval": 5})
+    data = tmp_path / "data.jsonl"
+    run_cli(["gen-data", "--config", cfg, "--out", str(data)])
+    run_dir = tmp_path / "run"
+    train = ["train", "--data", str(data), "--config", cfg, "--out", str(run_dir)]
+    assert run_cli(train) == cli.EXIT_OK
+    capsys.readouterr()
+    best = run_dir / "ckpt_best.json"
+    assert run_cli(train + ["--resume", str(best)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(best) in err and "optimizer state" in err
 
 
 @pytest.mark.parametrize("exc, code", [
