@@ -17,7 +17,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import diagnostics, so3, synthgym, theoremlab, trainer
-from .head import HeadConfig, load_checkpoint
+from .head import HeadConfig, atomic_open, load_checkpoint
 from .trainer import TrainConfig, TrainingDiverged
 
 EXIT_OK = 0
@@ -95,8 +95,8 @@ def train_config_from(cfg):
 
 def write_resolved(cfg, out_dir, name="config.resolved.json"):
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w") as f:
-        json.dump(cfg, f, indent=2)
+    with atomic_open(os.path.join(out_dir, name)) as f:
+        f.write(json.dumps(cfg, indent=2))
 
 
 def _float_repr(x):
@@ -129,8 +129,8 @@ def cmd_gen_data(args):
     os.makedirs(out_dir, exist_ok=True)
     synthgym.save_jsonl(dataset, args.out)
     stats = synthgym.world_vs_canonical_stats(dataset)
-    with open(args.out + ".stats.json", "w") as f:
-        json.dump(_to_jsonable(stats), f, indent=2)
+    with atomic_open(args.out + ".stats.json") as f:
+        f.write(json.dumps(_to_jsonable(stats), indent=2))
     write_resolved(cfg, out_dir, name=os.path.basename(args.out) + ".config.json")
     print(f"wrote {len(dataset.episodes)} episodes to {args.out}")
     return EXIT_OK
@@ -198,7 +198,11 @@ def cmd_diagnose(args):
     compat_random = {}
     outputs = []
     rng = np.random.Generator(np.random.Philox(key=[0xD1A6, 0]))
-    for ep in dataset.episodes:
+    lengths = [len(ep.obs) for ep in dataset.episodes]
+    draws = [so3.draw_rotations(rng, t) for t in lengths]  # in episode order
+    random_frames = np.split(so3.rotations_from_draws(
+        *map(np.concatenate, zip(*draws))), np.cumsum(lengths)[:-1])
+    for ep, rnd in zip(dataset.episodes, random_frames):
         out = diagnostics.predict_step_outputs(params, hc, ep.obs)
         outputs.append(out)
         frames = out["frames"]
@@ -208,7 +212,6 @@ def cmd_diagnose(args):
         compat_learned.setdefault(ep.task, []).append((ep.actions[:, :3], frames))
         gt = np.broadcast_to(ep.q, frames.shape).copy()
         compat_gt.setdefault(ep.task, []).append((ep.actions[:, :3], gt))
-        rnd = so3.random_rotation(rng, size=len(frames))
         compat_random.setdefault(ep.task, []).append((ep.actions[:, :3], rnd))
 
     conc = {
@@ -245,8 +248,8 @@ def cmd_diagnose(args):
         "usage_matrix": usage,
         "axis_timelines": timelines,
     }
-    with open(os.path.join(args.out, "report.json"), "w") as f:
-        json.dump(_to_jsonable(report), f, indent=2)
+    with atomic_open(os.path.join(args.out, "report.json")) as f:
+        f.write(json.dumps(_to_jsonable(report), indent=2))
     print(f"diagnostics written to {args.out}")
     return EXIT_OK
 
@@ -294,7 +297,7 @@ def _to_jsonable(obj):
 def _write_concentration_csv(path, conc):
     metrics = ["covariance_trace", "avg_pairwise_distance", "pca_top3_ev",
                "effective_rank"]
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         w = csv.writer(f)
         w.writerow(["frame", "task"] + metrics)
         for frame_name, stats in conc.items():
@@ -307,7 +310,7 @@ def _write_concentration_csv(path, conc):
 
 
 def _write_compat_csv(path, compat):
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         w = csv.writer(f)
         w.writerow(["frames", "task", "mean_deg", "std_deg", "n_steps"])
         for name in ("learned", "ground_truth", "random"):
@@ -321,7 +324,7 @@ def _write_compat_csv(path, compat):
 
 
 def _write_usage_csv(path, usage):
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         w = csv.writer(f)
         k = usage["trans"].shape[1]
         w.writerow(["dictionary", "task"] + [f"proto_{i}" for i in range(k)])
@@ -331,7 +334,7 @@ def _write_usage_csv(path, usage):
 
 
 def _write_timeline_csv(path, timelines):
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         w = csv.writer(f)
         w.writerow(["task", "block", "bin", "x", "y", "z"])
         for task, tl in timelines.items():
@@ -414,12 +417,12 @@ def main(argv=None):
         args.out = resolve_out(args.out)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (TrainingDiverged, RuntimeError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        inputs = {vars(args).get(k) for k in ("data", "config", "ckpt", "resume")}
+        invalid = isinstance(exc, ValueError) or (  # or an unreadable input file
+            getattr(exc, "filename", None) in inputs - {None})
+        return EXIT_VALIDATION if invalid else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

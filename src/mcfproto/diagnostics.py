@@ -11,8 +11,6 @@ import numpy as np
 from . import head as head_mod
 from . import kernels, linalg
 
-MAX_EXACT_PAIRS = 10 ** 6
-
 
 # ---------------------------------------------------------------------------
 # concentration
@@ -31,18 +29,6 @@ def _effective_rank(lam):
     p = lam / total
     p = p[p > 0]
     return float(np.exp(-(p * np.log(p)).sum()))
-
-
-def _pairwise_distance(actions):
-    n = len(actions)
-    n_pairs = n * (n - 1) // 2
-    if n_pairs <= MAX_EXACT_PAIRS:
-        return float(kernels.pairwise_mean_distance(np.ascontiguousarray(actions)))
-    rng = np.random.Generator(np.random.Philox(key=[0, n]))
-    i = rng.integers(0, n, MAX_EXACT_PAIRS)
-    j = rng.integers(0, n - 1, MAX_EXACT_PAIRS)
-    j = np.where(j >= i, j + 1, j)  # unordered pairs, no self-pairs
-    return float(np.linalg.norm(actions[i] - actions[j], axis=1).mean())
 
 
 def concentration(actions_by_task):
@@ -69,7 +55,7 @@ def concentration(actions_by_task):
             continue
         per_task[task] = {
             "covariance_trace": float(np.trace(cov)),
-            "avg_pairwise_distance": _pairwise_distance(actions),
+            "avg_pairwise_distance": float(kernels.pairwise_mean_distance(actions)),
             "pca_top3_ev": float(lam[:3].sum() / total),
             "effective_rank": _effective_rank(lam),
         }

@@ -13,6 +13,7 @@ reduces prototype composition to a single linear map (the softmax of one
 logit is identically [1]).
 """
 
+import contextlib
 import json
 import logging
 import os
@@ -327,10 +328,28 @@ def loss_total(obs, targets, params, config):
 # checkpoints
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def atomic_open(path):
+    """Write `path` via a temporary file moved onto it: a crash keeps the old file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as f:
+        yield f
+    os.replace(tmp, path)
+
+
+def _write_json(obj, f):
+    """Write json.dumps(obj) one dict entry at a time, never all of its text."""
+    if not isinstance(obj, dict):
+        return f.write(json.dumps(obj))
+    f.write("{")
+    for i, (key, value) in enumerate(obj.items()):
+        f.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+        _write_json(value, f)
+    f.write("}")
+
+
 def save_checkpoint(path, params, config, extra=None):
-    """JSON checkpoint; float repr round-trips exactly, so save -> load ->
-    forward is bitwise identical. Written to a temporary file beside `path`
-    and moved onto it, so a crash mid-write leaves any old checkpoint whole."""
+    """JSON checkpoint; float repr round-trips, so save -> load -> forward is exact."""
     doc = {
         "schema_version": CHECKPOINT_SCHEMA,
         "config": asdict(config),
@@ -338,10 +357,8 @@ def save_checkpoint(path, params, config, extra=None):
     }
     if extra:
         doc["extra"] = extra
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        json.dump(doc, f)
-    os.replace(tmp, path)
+    with atomic_open(path) as f:
+        _write_json(doc, f)
 
 
 def load_checkpoint(path):

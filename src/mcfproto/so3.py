@@ -94,12 +94,11 @@ def axis_angle_to_rotation(w):
     return flat_out.reshape(out.shape)
 
 
-def _sample_uniform_angle(rng, size):
-    # inverse-CDF of the uniform-SO(3) angle density (1 - cos t)/pi on [0, pi],
-    # solved by bisection; vectorized and deterministic.
-    u = rng.uniform(0.0, 1.0, size=size)
-    lo = np.zeros(size)
-    hi = np.full(size, np.pi)
+def _uniform_angle(u):
+    # bisection for t in [0, pi] with uniform-SO(3) CDF (t - sin t)/pi = u;
+    # elementwise, so a batch of many streams' u gives each stream's angles
+    lo = np.zeros(u.shape)
+    hi = np.full(u.shape, np.pi)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         cdf = (mid - np.sin(mid)) / np.pi
@@ -109,14 +108,19 @@ def _sample_uniform_angle(rng, size):
     return 0.5 * (lo + hi)
 
 
+def draw_rotations(rng, n):
+    """The random numbers behind n Haar rotations: (axis (n, 3), u (n,))."""
+    return rng.normal(size=(n, 3)), rng.uniform(size=n)
+
+
+def rotations_from_draws(axis, u):
+    """Rotations (n, 3, 3) from draw_rotations output, of one stream or many."""
+    axis = axis / np.linalg.norm(axis, axis=1, keepdims=True)
+    return axis_angle_to_rotation(axis * _uniform_angle(u)[:, None])
+
+
 def random_rotation(rng, size=None):
     """Uniform (Haar) random rotation(s) via random axis + uniform-SO(3) angle."""
-    squeeze = size is None
-    n = 1 if squeeze else int(np.prod(size))
-    axis = rng.normal(size=(n, 3))
-    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
-    angle = _sample_uniform_angle(rng, n)
-    R = axis_angle_to_rotation(axis * angle[:, None])
-    if squeeze:
-        return R[0]
-    return R.reshape(tuple(np.atleast_1d(size)) + (3, 3))
+    n = 1 if size is None else int(np.prod(size))
+    R = rotations_from_draws(*draw_rotations(rng, n))
+    return R[0] if size is None else R.reshape(tuple(np.atleast_1d(size)) + (3, 3))

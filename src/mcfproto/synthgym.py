@@ -156,8 +156,8 @@ def _episode_rng(seed, index):
 def generate(templates, episodes_per_task, noise_scale=None, seed=0,
              frame_randomize=True, max_step=DEFAULT_MAX_STEP):
     """Generate a frame-randomized dataset; deterministic per seed."""
-    if not templates:
-        raise ValueError("need at least one task template")
+    if not templates or episodes_per_task < 1:
+        raise ValueError("need at least one task template and one episode per task")
     if noise_scale is None:
         noise_scale = DEFAULT_NOISE_FRAC * max_step
     task_names = [t.name for t in templates]
@@ -169,12 +169,14 @@ def generate(templates, episodes_per_task, noise_scale=None, seed=0,
         progress = (np.arange(t_total) / max(t_total - 1, 1))[:, None]
         onehot = np.zeros((t_total, n_tasks))
         onehot[:, task_idx] = 1.0
-        for e in range(episodes_per_task):
-            rng = _episode_rng(seed, task_idx * episodes_per_task + e)
-            if frame_randomize:
-                q = so3.random_rotation(rng)
-            else:
-                q = np.eye(3)
+        rngs = [_episode_rng(seed, task_idx * episodes_per_task + e)
+                for e in range(episodes_per_task)]
+        if frame_randomize:  # one draw per stream, one batched transform
+            draws = [so3.draw_rotations(rng, 1) for rng in rngs]
+            qs = so3.rotations_from_draws(*map(np.concatenate, zip(*draws)))
+        else:
+            qs = np.tile(np.eye(3), (episodes_per_task, 1, 1))
+        for rng, q in zip(rngs, qs):
             world_t = ct @ q.T + _bounded_noise(rng, ct.shape, noise_scale)
             world_r = cr @ q.T + _bounded_noise(rng, cr.shape, noise_scale)
             actions = np.concatenate([world_t, world_r, grip[:, None]], axis=1)

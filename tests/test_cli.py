@@ -241,8 +241,9 @@ def test_resume_needs_optimizer_state(tmp_path, capsys):
     (so3.DegenerateParamError("6D columns are near-collinear"), cli.EXIT_RUNTIME),
     (trainer.TrainingDiverged(3, float("nan")), cli.EXIT_RUNTIME),
     (FloatingPointError("overflow"), cli.EXIT_RUNTIME),
+    (OSError(28, "No space left on device"), cli.EXIT_RUNTIME),
 ], ids=["ConfigError", "ValueError", "LinalgError", "DegenerateParamError",
-        "TrainingDiverged", "FloatingPointError"])
+        "TrainingDiverged", "FloatingPointError", "OSError"])
 def test_failure_class_exit_code(monkeypatch, capsys, exc, code):
     def fail(args):
         raise exc
@@ -250,6 +251,59 @@ def test_failure_class_exit_code(monkeypatch, capsys, exc, code):
     monkeypatch.setattr(cli, "cmd_verify_theorem", fail)
     assert run_cli(["verify-theorem"]) == code
     assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+@pytest.mark.parametrize("flag", ["--data", "--config", "--ckpt"])
+def test_missing_input_file_is_validation_error(tmp_path, capsys, flag):
+    data = tmp_path / "data.jsonl"
+    data.write_text(episode_line(step()))
+    hc = head.HeadConfig(hidden=4, k_trans=2, k_rot=2, horizon=2)
+    ckpt = tmp_path / "ckpt.json"
+    head.save_checkpoint(str(ckpt), head.init_params(hc, np.random.default_rng(0)),
+                         hc)
+    inputs = {"--data": str(data), "--config": small_config(tmp_path),
+              "--ckpt": str(ckpt)}
+    missing = str(tmp_path / "missing" / "nope.json")
+    inputs[flag] = missing
+    argv = ["diagnose", "--out", str(tmp_path / "diag")]
+    for name, path in inputs.items():
+        argv += [name, path]
+    assert run_cli(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert missing in err and "Traceback" not in err
+
+
+def test_unwritable_output_is_runtime_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = run_cli(["gen-data", "--episodes", "1",
+                    "--out", str(blocker / "d.jsonl")])
+    assert code == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_diagnose_crash_keeps_old_report(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, train={"steps": 10, "warmup": 2,
+                                        "eval_interval": 5})
+    data = tmp_path / "data.jsonl"
+    run_cli(["gen-data", "--config", cfg, "--out", str(data)])
+    run_cli(["train", "--data", str(data), "--config", cfg,
+             "--out", str(tmp_path / "run")])
+    diagnose = ["diagnose", "--data", str(data), "--config", cfg,
+                "--ckpt", str(tmp_path / "run" / "ckpt_final.json"),
+                "--out", str(tmp_path / "diag")]
+    assert run_cli(diagnose) == cli.EXIT_OK
+    report = tmp_path / "diag" / "report.json"
+    before = report.read_bytes()
+
+    def disk_full(obj):
+        # the report's contents are formed while its file is open for writing
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_to_jsonable", disk_full)
+    assert run_cli(diagnose) == cli.EXIT_RUNTIME
+    assert report.read_bytes() == before
 
 
 def test_ablate_writes_csv(tmp_path):

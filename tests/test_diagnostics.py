@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcfproto import diagnostics, head, so3, synthgym
+from mcfproto import diagnostics, head, kernels, so3, synthgym
 
 
 def test_concentration_isotropic():
@@ -53,6 +53,29 @@ def test_pairwise_distance_exact_small():
     actions[2, 0] = 4.0
     t = diagnostics.concentration({"x": actions})["per_task"]["x"]
     assert t["avg_pairwise_distance"] == pytest.approx((3 + 4 + 1) / 3)
+
+
+def brute_force_mean_distance(X):
+    total = 0.0
+    for i in range(len(X) - 1):
+        total += np.linalg.norm(X[i + 1:] - X[i], axis=1).sum()
+    return total / (len(X) * (len(X) - 1) / 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, kernels._BLOCK - 1, kernels._BLOCK,
+                               kernels._BLOCK + 1, 2 * kernels._BLOCK + 5])
+@pytest.mark.parametrize("data", ["gaussian", "offset", "duplicates"])
+def test_pairwise_mean_distance_matches_brute_force(n, data):
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 6)) * [1.0, 2.0, 0.5, 1e-3, 3.0, 1.0]
+    if data == "offset":
+        X += 1e6 * rng.normal(size=6)
+    if data == "duplicates":  # each row twice: neighbours and across blocks
+        half = X[:(n + 1) // 2]
+        X = np.concatenate([half, half[::-1]])[:n]
+        X[1::7] = X[0::7][:len(X[1::7])]
+    got = kernels.pairwise_mean_distance(X)
+    assert got == pytest.approx(brute_force_mean_distance(X), rel=1e-12, abs=0)
 
 
 def test_local_actions_block_rotation():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -204,10 +206,12 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     cfg = small_config()
     params = head.init_params(cfg, np.random.default_rng(20))
     path = tmp_path / "ckpt.json"
-    head.save_checkpoint(path, params, cfg, extra={"step": 3})
+    head.save_checkpoint(path, params, cfg, extra={"step": 3, "opt": {"m": [0.5]}})
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text))  # json.dumps layout, byte for byte
     loaded, cfg2, extra = head.load_checkpoint(path)
     assert cfg2 == cfg
-    assert extra == {"step": 3}
+    assert extra == {"step": 3, "opt": {"m": [0.5]}}
     for k, p in params.items():
         assert np.array_equal(loaded[k].value, p.value)
     obs = np.random.default_rng(21).normal(size=(3, 5))
@@ -223,11 +227,25 @@ def test_checkpoint_crash_keeps_old_file(tmp_path, monkeypatch):
     head.save_checkpoint(path, params, cfg, extra={"step": 3})
     before = path.read_bytes()
 
-    def partial_dump(doc, f):
-        f.write('{"schema_version": 1, "config": ')
-        raise OSError("disk full")
+    class DiskFull:
+        """A file whose write stores a prefix of the text, then fails."""
 
-    monkeypatch.setattr(head.json, "dump", partial_dump)
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            self.f.write(text[:32])
+            raise OSError("disk full")
+
+    real_open = open
+    monkeypatch.setattr(head, "open", lambda p, mode="r": DiskFull(real_open(p, mode)),
+                        raising=False)
     with pytest.raises(OSError):
         head.save_checkpoint(path, params, cfg, extra={"step": 4})
     monkeypatch.undo()

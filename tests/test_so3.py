@@ -113,3 +113,23 @@ def test_encode_decode_roundtrip():
     rng = np.random.default_rng(9)
     R = so3.random_rotation(rng, size=20)
     assert np.abs(so3.decode_6d(so3.encode_6d(R)) - R).max() < 1e-12
+
+
+def test_batched_rotations_match_sequential_calls():
+    streams = [np.random.Generator(np.random.Philox(key=[4, i])) for i in range(6)]
+    sizes = [None, 1, 5, None, 13, 2]
+    expected = [so3.random_rotation(rng, size=size).reshape(-1, 3, 3)
+                for rng, size in zip(streams, sizes)]
+    streams = [np.random.Generator(np.random.Philox(key=[4, i])) for i in range(6)]
+    draws = [so3.draw_rotations(rng, 1 if size is None else size)
+             for rng, size in zip(streams, sizes)]
+    twin = np.random.Generator(np.random.Philox(key=[4, 0]))  # axis first, then u
+    assert np.array_equal(draws[0][0], twin.normal(size=(1, 3)))
+    assert np.array_equal(draws[0][1], twin.uniform(size=1))
+    batched = so3.rotations_from_draws(*map(np.concatenate, zip(*draws)))
+    assert np.array_equal(batched, np.concatenate(expected))
+    # each stream continues where a random_rotation call would have left it
+    after = [np.random.Generator(np.random.Philox(key=[4, i])) for i in range(6)]
+    for rng, size in zip(after, sizes):
+        so3.random_rotation(rng, size=size)
+    assert [r.normal() for r in streams] == [r.normal() for r in after]

@@ -32,6 +32,40 @@ def test_generate_deterministic():
     assert not np.array_equal(a.episodes[0].actions, c.episodes[0].actions)
 
 
+def reference_generate(templates, episodes_per_task, noise_scale, seed):
+    """generate() with one random_rotation call per episode."""
+    episodes = []
+    for task_idx, template in enumerate(templates):
+        ct, cr, grip = template.canonical_rollout()
+        t_total = len(grip)
+        progress = (np.arange(t_total) / max(t_total - 1, 1))[:, None]
+        onehot = np.zeros((t_total, len(templates)))
+        onehot[:, task_idx] = 1.0
+        for e in range(episodes_per_task):
+            rng = synthgym._episode_rng(seed, task_idx * episodes_per_task + e)
+            q = so3.random_rotation(rng)
+            world_t = ct @ q.T + synthgym._bounded_noise(rng, ct.shape, noise_scale)
+            world_r = cr @ q.T + synthgym._bounded_noise(rng, cr.shape, noise_scale)
+            actions = np.concatenate([world_t, world_r, grip[:, None]], axis=1)
+            offset = q @ (np.asarray(template.stages[0].trans_dir) * 0.2)
+            offset = offset + rng.normal(0.0, 0.01, 3)
+            obs = np.concatenate([np.tile(so3.encode_6d(q), (t_total, 1)), progress,
+                                  onehot, np.tile(offset, (t_total, 1))], axis=1)
+            episodes.append((q, obs, actions))
+    return episodes
+
+
+def test_generate_matches_per_episode_rotations():
+    templates = synthgym.default_templates()
+    ds = synthgym.generate(templates, 7, noise_scale=0.001, seed=11)
+    ref = reference_generate(templates, 7, 0.001, 11)
+    assert len(ds.episodes) == len(ref)
+    for ep, (q, obs, actions) in zip(ds.episodes, ref):
+        assert np.array_equal(ep.q, q)
+        assert np.array_equal(ep.obs, obs)
+        assert np.array_equal(ep.actions, actions)
+
+
 def test_single_direction_identity_frame():
     tpl = [synthgym.TaskTemplate("push", (
         synthgym.Stage("push", 5, trans_dir=(1.0, 0, 0), trans_mag=0.01),
@@ -192,3 +226,8 @@ def test_jsonl_rejects_unknown_schema(tmp_path):
 def test_generate_requires_templates():
     with pytest.raises(ValueError):
         synthgym.generate([], 3)
+
+
+def test_generate_requires_episodes():
+    with pytest.raises(ValueError, match="one episode per task"):
+        synthgym.generate(synthgym.default_templates(), 0)
