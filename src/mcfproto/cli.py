@@ -272,8 +272,8 @@ def cmd_verify_theorem(args):
         )
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "theorem_report.json"), "w") as f:
-            json.dump(_to_jsonable(result), f, indent=2)
+        with atomic_open(os.path.join(args.out, "theorem_report.json")) as f:
+            f.write(json.dumps(_to_jsonable(result), indent=2))
     print("overall:", "pass" if result["pass"] else "FAIL")
     return EXIT_OK if result["pass"] else EXIT_RUNTIME
 

@@ -156,17 +156,14 @@ def predict_step_outputs(params, config, obs):
     """Per-step head outputs for one episode's observations.
 
     Runs the head on every step and keeps a copy of the first horizon slot,
-    giving one frame / gating / local action per time step without holding
-    on to the other slots.
+    giving one frame and one gating pair per time step without holding on
+    to the other slots.
     """
     out = head_mod.head_forward(obs, params, config)
     return {
         "frames": out.frames.value[:, 0].copy(),
         "gating_trans": out.gating_trans.value[:, 0].copy(),
         "gating_rot": out.gating_rot.value[:, 0].copy(),
-        "local_trans": out.local_trans.value[:, 0].copy(),
-        "local_rot": out.local_rot.value[:, 0].copy(),
-        "world_action": out.world_action.value[:, 0].copy(),
     }
 
 

@@ -28,21 +28,8 @@ log = logging.getLogger(__name__)
 CHECKPOINT_SCHEMA = 1
 
 
-@dataclass(frozen=True)
-class ActionLayout:
-    """Index sets of the action vector; disjoint and covering by invariant."""
-
-    i_trans: tuple = (0, 1, 2)
-    i_rot: tuple = (3, 4, 5)
-    i_grip: tuple = (6,)
-    dim: int = 7
-
-    def __post_init__(self):
-        all_idx = sorted(self.i_trans + self.i_rot + self.i_grip)
-        if all_idx != list(range(self.dim)):
-            raise ValueError("layout index sets must be disjoint and cover 0..dim-1")
-        if len(self.i_trans) != 3 or len(self.i_rot) != 3:
-            raise ValueError("translation and rotation blocks must be 3-dimensional")
+# Width of an action: translation in 0-2, rotation in 3-5, gripper in 6.
+ACTION_DIM = 7
 
 
 @dataclass
@@ -63,10 +50,6 @@ class HeadConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
-    @property
-    def layout(self):
-        return ActionLayout()
-
 
 @dataclass
 class HeadOutput:
@@ -80,7 +63,7 @@ class HeadOutput:
     scales_rot: ad.Node      # (B, H, d)
     local_trans: ad.Node     # (B, H, 3)
     local_rot: ad.Node       # (B, H, 3)
-    world_action: ad.Node    # (B, H, dim)
+    world_action: ad.Node    # (B, H, ACTION_DIM)
 
 
 def _parseval_rows(rng, rows, dim):
@@ -132,7 +115,7 @@ def init_params(config, rng):
     of the orthogonality penalty (see _init_dictionary).
     """
     c = config
-    n_grip = c.layout.dim - 6
+    n_grip = ACTION_DIM - 6
 
     def dense(name, out_dim, in_dim, std=None):
         std = 1.0 / np.sqrt(in_dim) if std is None else std
@@ -220,18 +203,9 @@ def head_forward(obs, params, config):
     local_r, pi_r, z_r = compose_local(h, params, config, "rot")
     world_t = ad.apply_frame(frames, local_t)
     world_r = ad.apply_frame(frames, local_r)
-    n_grip = config.layout.dim - 6
     rest = ad.linear(h, params["rest.w"], params["rest.b"])
-    rest = ad.reshape(rest, (batch, config.horizon, n_grip))
-    layout = config.layout
-    dim = layout.dim
-    world = ad.add(
-        ad.add(
-            ad.scatter_last(world_t, layout.i_trans, dim),
-            ad.scatter_last(world_r, layout.i_rot, dim),
-        ),
-        ad.scatter_last(rest, layout.i_grip, dim),
-    )
+    rest = ad.reshape(rest, (batch, config.horizon, ACTION_DIM - 6))
+    world = ad.concat_last([world_t, world_r, rest])
     return HeadOutput(
         latent=h,
         frames=frames,
@@ -249,14 +223,12 @@ def head_forward(obs, params, config):
 # losses
 # ---------------------------------------------------------------------------
 
-def loss_act(pred, target, layout, beta):
+def loss_act(pred, target, beta):
     """Summed action loss: L1 on trans and grip blocks, Smooth-L1 on rot."""
     target = np.asarray(target, dtype=float)
-    lt = ad.l1_loss(ad.take_last(pred, layout.i_trans), target[..., layout.i_trans])
-    lg = ad.l1_loss(ad.take_last(pred, layout.i_grip), target[..., layout.i_grip])
-    lr = ad.smooth_l1_loss(
-        ad.take_last(pred, layout.i_rot), target[..., layout.i_rot], beta
-    )
+    lt = ad.l1_loss(ad.slice_axis(pred, -1, 0, 3), target[..., 0:3])
+    lg = ad.l1_loss(ad.slice_axis(pred, -1, 6, ACTION_DIM), target[..., 6:])
+    lr = ad.smooth_l1_loss(ad.slice_axis(pred, -1, 3, 6), target[..., 3:6], beta)
     return ad.add(ad.add(lt, lg), lr)
 
 
@@ -297,15 +269,12 @@ def loss_smooth_chunk(frames):
 def loss_total(obs, targets, params, config):
     """Total objective on a batch of chunks.
 
-    obs: (B, obs_dim); targets: (B, H, dim). Returns (loss_node, parts)
+    obs: (B, obs_dim); targets: (B, H, ACTION_DIM). Returns (loss_node, parts)
     where parts holds the float values of the individual terms.
     """
     out = head_forward(obs, params, config)
     n_steps = out.world_action.value.shape[0] * out.world_action.value.shape[1]
-    act = ad.affine(
-        loss_act(out.world_action, targets, config.layout, config.beta),
-        1.0 / n_steps,
-    )
+    act = ad.affine(loss_act(out.world_action, targets, config.beta), 1.0 / n_steps)
     ortho = loss_ortho(params["dict_trans"], params["dict_rot"])
     smooth = loss_smooth_chunk(out.frames)
     total = ad.add(
@@ -330,11 +299,17 @@ def loss_total(obs, targets, params, config):
 
 @contextlib.contextmanager
 def atomic_open(path):
-    """Write `path` via a temporary file moved onto it: a crash keeps the old file."""
+    """Write `path` via a temporary file moved onto it: a crash keeps the old
+    file and removes the temporary one."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        yield f
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _write_json(obj, f):

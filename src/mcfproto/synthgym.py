@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3
-from .head import ActionLayout
+from .head import ACTION_DIM, atomic_open
 
 SCHEMA_VERSION = 1
 DEFAULT_MAX_STEP = 0.05
@@ -197,7 +197,7 @@ def generate(templates, episodes_per_task, noise_scale=None, seed=0,
 # ---------------------------------------------------------------------------
 
 def save_jsonl(dataset, path):
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         for ep in dataset.episodes:
             doc = {
                 "schema_version": SCHEMA_VERSION,
@@ -234,7 +234,6 @@ def _step_array(rows, what, where):
 def load_jsonl(path):
     episodes = []
     task_names = []
-    action_dim = ActionLayout().dim
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
@@ -265,9 +264,9 @@ def load_jsonl(path):
             if episodes and obs.shape[1] != episodes[0].obs.shape[1]:
                 raise ValueError(f"{where}: obs width {obs.shape[1]} differs from "
                                  f"{episodes[0].obs.shape[1]} on earlier lines")
-            if actions.shape[1] != action_dim:
+            if actions.shape[1] != ACTION_DIM:
                 raise ValueError(f"{where}: action width {actions.shape[1]} is "
-                                 f"not {action_dim}")
+                                 f"not {ACTION_DIM}")
             episodes.append(Episode(task, task_names.index(task), q, obs, actions))
     if not episodes:
         raise ValueError(f"dataset {path} holds no episodes")

@@ -153,9 +153,7 @@ def eval_loss_act(obs, targets, params, config, batch=512):
     n = len(obs)
     for i in range(0, n, batch):
         out = head_mod.head_forward(obs[i:i + batch], params, config)
-        node = head_mod.loss_act(
-            out.world_action, targets[i:i + batch], config.layout, config.beta
-        )
+        node = head_mod.loss_act(out.world_action, targets[i:i + batch], config.beta)
         total += float(node.value) / config.horizon
     return total / n
 
@@ -229,6 +227,10 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
         if not append:
             writer.writerow(METRIC_COLUMNS)
 
+    def resume_state(step):
+        return {"step": step, "optimizer": opt.state(),
+                "best_val": best_val, "best_step": best_step}
+
     n_chunks = len(tr_obs)
     try:
         for step in range(start_step, tc.steps):
@@ -245,19 +247,17 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
             lr = cosine_lr(step, tc)
             opt.step(lr)
 
-            row = None
+            val = None
             if (step + 1) % tc.eval_interval == 0 or step + 1 == tc.steps:
                 val = eval_loss_act(va_obs, va_tgt, params, hc)
                 if val < best_val:
                     best_val = val
                     best_step = step + 1
                     best_snapshot = {k: p.value.copy() for k, p in params.items()}
+            if val is not None or (step + 1) % 100 == 0 or step == 0:
                 row = [step + 1, lr, parts["loss_total"], parts["loss_act"],
-                       parts["loss_ortho"], parts["loss_smooth"], val]
-            elif (step + 1) % 100 == 0 or step == 0:
-                row = [step + 1, lr, parts["loss_total"], parts["loss_act"],
-                       parts["loss_ortho"], parts["loss_smooth"], ""]
-            if row is not None:
+                       parts["loss_ortho"], parts["loss_smooth"],
+                       "" if val is None else val]
                 metrics.append(dict(zip(METRIC_COLUMNS, row)))
                 if writer is not None:
                     writer.writerow([repr(x) if isinstance(x, float) else x
@@ -266,19 +266,15 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
                     and (step + 1) % tc.ckpt_interval == 0):
                 head_mod.save_checkpoint(
                     os.path.join(out_dir, f"ckpt_{step + 1}.json"), params, hc,
-                    extra={"step": step + 1, "optimizer": opt.state(),
-                           "best_val": best_val, "best_step": best_step},
+                    extra=resume_state(step + 1),
                 )
     finally:
         if writer is not None:
             f.close()
 
     if out_dir is not None:
-        head_mod.save_checkpoint(
-            os.path.join(out_dir, "ckpt_final.json"), params, hc,
-            extra={"step": tc.steps, "optimizer": opt.state(),
-                   "best_val": best_val, "best_step": best_step},
-        )
+        head_mod.save_checkpoint(os.path.join(out_dir, "ckpt_final.json"),
+                                 params, hc, extra=resume_state(tc.steps))
         best_params = {k: ad.Param(v, k) for k, v in best_snapshot.items()}
         head_mod.save_checkpoint(
             os.path.join(out_dir, "ckpt_best.json"), best_params, hc,

@@ -41,7 +41,7 @@ def _loss_and_grads():
     params = head.init_params(config, np.random.default_rng(3))
     rng = np.random.default_rng(4)
     obs = rng.normal(size=(5, config.obs_dim))
-    targets = rng.normal(size=(5, config.horizon, config.layout.dim))
+    targets = rng.normal(size=(5, config.horizon, head.ACTION_DIM))
     loss, _ = head.loss_total(obs, targets, params, config)
     ad.backward(loss)
     return loss.value, {k: p.grad for k, p in params.items()}

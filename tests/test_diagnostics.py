@@ -176,7 +176,6 @@ def test_predict_step_outputs_shapes():
     out = diagnostics.predict_step_outputs(params, cfg, obs)
     assert out["frames"].shape == (9, 3, 3)
     assert out["gating_trans"].shape == (9, 4)
-    assert out["world_action"].shape == (9, 7)
 
 
 def test_usage_matrix_simplex_rows():

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,13 +12,6 @@ def small_config(**kw):
     base = dict(obs_dim=5, hidden=8, d=3, k_trans=4, k_rot=4, horizon=3)
     base.update(kw)
     return head.HeadConfig(**base)
-
-
-def test_layout_validation():
-    with pytest.raises(ValueError):
-        head.ActionLayout(i_trans=(0, 1, 2), i_rot=(2, 3, 4), i_grip=(6,))
-    with pytest.raises(ValueError):
-        head.ActionLayout(i_trans=(0, 1), i_rot=(2, 3, 4), i_grip=(5,), dim=6)
 
 
 def test_forward_shapes():
@@ -102,13 +96,12 @@ def test_k1_softmax_is_constant_one():
 
 
 def test_loss_act_unit_values():
-    layout = head.ActionLayout()
     pred = ad.constant(np.zeros((1, 1, 7)))
     target = np.zeros((1, 1, 7))
     target[0, 0, 3] = 0.5   # rot channel: smooth-l1 of 0.5 is 0.125
     target[0, 0, 0] = 0.25  # trans channel: l1
     target[0, 0, 6] = 1.0   # gripper channel: l1
-    loss = head.loss_act(pred, target, layout, beta=1.0)
+    loss = head.loss_act(pred, target, beta=1.0)
     assert loss.value == pytest.approx(0.25 + 1.0 + 0.125)
 
 
@@ -250,6 +243,7 @@ def test_checkpoint_crash_keeps_old_file(tmp_path, monkeypatch):
         head.save_checkpoint(path, params, cfg, extra={"step": 4})
     monkeypatch.undo()
     assert path.read_bytes() == before
+    assert not os.path.exists(f"{path}.tmp")
     assert head.load_checkpoint(path)[2] == {"step": 3}
 
 

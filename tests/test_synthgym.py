@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,29 @@ def test_jsonl_roundtrip(tmp_path):
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.obs, b.obs)
         assert np.abs(a.q - b.q).max() < 1e-12
+
+
+def test_jsonl_crash_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "data.jsonl"
+    synthgym.save_jsonl(synthgym.generate(synthgym.default_templates(), 2, seed=11),
+                        str(path))
+    before = path.read_bytes()
+    other = synthgym.generate(synthgym.default_templates(), 2, seed=12)
+    encode_6d = so3.encode_6d
+    calls = []
+
+    def fail_on_second_episode(q):
+        # the first episode's line is written before this raises
+        calls.append(q)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return encode_6d(q)
+
+    monkeypatch.setattr(so3, "encode_6d", fail_on_second_episode)
+    with pytest.raises(OSError):
+        synthgym.save_jsonl(other, str(path))
+    assert path.read_bytes() == before
+    assert not os.path.exists(f"{path}.tmp")
 
 
 def test_jsonl_rejects_unknown_schema(tmp_path):
