@@ -25,7 +25,7 @@ from . import autodiff as ad
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 
 # Width of an action: translation in 0-2, rotation in 3-5, gripper in 6.

@@ -234,6 +234,7 @@ def _step_array(rows, what, where):
 def load_jsonl(path):
     episodes = []
     task_names = []
+    q6s, wheres = [], []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
@@ -252,9 +253,10 @@ def load_jsonl(path):
                 task_names.append(task)
             q6 = _field(doc, "q_6d", where)
             try:
-                q = so3.decode_6d(np.array(q6, dtype=float).reshape(6))
-            except (so3.DegenerateParamError, TypeError, ValueError) as exc:
+                q6s.append(np.array(q6, dtype=float).reshape(6))
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"invalid q_6d in {where}: {exc}") from exc
+            wheres.append(where)
             steps = _field(doc, "steps", where)
             if not steps:
                 raise ValueError(f"{where}: episode has no steps")
@@ -267,9 +269,20 @@ def load_jsonl(path):
             if actions.shape[1] != ACTION_DIM:
                 raise ValueError(f"{where}: action width {actions.shape[1]} is "
                                  f"not {ACTION_DIM}")
-            episodes.append(Episode(task, task_names.index(task), q, obs, actions))
+            episodes.append(Episode(task, task_names.index(task), None, obs, actions))
     if not episodes:
         raise ValueError(f"dataset {path} holds no episodes")
+    try:
+        qs = so3.decode_6d(np.array(q6s))
+    except so3.DegenerateParamError:
+        for q6, where in zip(q6s, wheres):  # name the first bad line
+            try:
+                so3.decode_6d(q6)
+            except so3.DegenerateParamError as exc:
+                raise ValueError(f"invalid q_6d in {where}: {exc}") from exc
+        raise
+    for ep, q in zip(episodes, qs):
+        ep.q = q
     return Dataset(episodes, task_names, noise_scale=float("nan"), seed=-1)
 
 

@@ -7,9 +7,11 @@ same batch sequence and two runs with the same seed/config produce
 bitwise-identical metric logs.
 """
 
+import base64
 import csv
 import logging
 import os
+import shutil
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -103,16 +105,44 @@ class AdamW:
             p.value -= lr * update
 
     def state(self):
-        return {
-            "step_count": self.step_count,
-            "m": {k: v.tolist() for k, v in self.m.items()},
-            "v": {k: v.tolist() for k, v in self.v.items()},
-        }
+        """step_count, and the moments m and v each as one base64 string of
+        little-endian float64 ("<f8"), concatenated in parameter order:
+        exact, and far smaller and faster to write than repr lists."""
+        def encode(moments):
+            flat = np.concatenate([moments[k].ravel() for k in self.params])
+            return base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii")
+
+        return {"step_count": self.step_count,
+                "m": encode(self.m), "v": encode(self.v)}
 
     def load_state(self, state):
-        self.step_count = state["step_count"]
-        self.m = {k: np.array(v, dtype=float) for k, v in state["m"].items()}
-        self.v = {k: np.array(v, dtype=float) for k, v in state["v"].items()}
+        """Inverse of state(). Raises ValueError when `state` is not one for
+        these parameters."""
+        if not isinstance(state, dict):
+            raise ValueError("optimizer state is not a JSON object")
+        step_count = state.get("step_count")
+        if not isinstance(step_count, int) or isinstance(step_count, bool):
+            raise ValueError(f"optimizer step_count {step_count!r} is not an integer")
+        sizes = [p.value.size for p in self.params.values()]
+        moments = []
+        for key in ("m", "v"):
+            text = state.get(key)
+            if not isinstance(text, str):
+                raise ValueError(f"optimizer moment {key!r} is not a base64 string")
+            try:
+                raw = base64.b64decode(text, validate=True)
+            except ValueError as exc:
+                raise ValueError(f"optimizer moment {key!r} is not valid base64: "
+                                 f"{exc}") from exc
+            if len(raw) != 8 * sum(sizes):
+                raise ValueError(f"optimizer moment {key!r} holds {len(raw)} bytes, "
+                                 f"not 8 x {sum(sizes)} parameters")
+            flat = np.frombuffer(raw, dtype="<f8").astype(float)
+            parts = np.split(flat, np.cumsum(sizes)[:-1])
+            moments.append({k: part.reshape(p.value.shape)
+                            for (k, p), part in zip(self.params.items(), parts)})
+        self.step_count = step_count
+        self.m, self.v = moments
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +239,10 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
             raise ValueError(f"checkpoint {resume} holds no optimizer state; resume "
                              "from ckpt_final.json or a periodic ckpt_<step>.json")
         opt = AdamW(params, tc)
-        opt.load_state(extra["optimizer"])
+        try:
+            opt.load_state(extra["optimizer"])
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {resume}: {exc}") from exc
         start_step = extra["step"]
         best_val = extra.get("best_val", np.inf)
         best_step = extra.get("best_step", -1)
@@ -232,6 +265,7 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
                 "best_val": best_val, "best_step": best_step}
 
     n_chunks = len(tr_obs)
+    last_ckpt = None    # ckpt_<steps>.json, when this call writes it
     try:
         for step in range(start_step, tc.steps):
             rng = np.random.Generator(np.random.Philox(key=[tc.seed, 1 + step]))
@@ -264,17 +298,23 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
                                      for x in row])
             if (out_dir is not None and tc.ckpt_interval
                     and (step + 1) % tc.ckpt_interval == 0):
-                head_mod.save_checkpoint(
-                    os.path.join(out_dir, f"ckpt_{step + 1}.json"), params, hc,
-                    extra=resume_state(step + 1),
-                )
+                path = os.path.join(out_dir, f"ckpt_{step + 1}.json")
+                head_mod.save_checkpoint(path, params, hc,
+                                         extra=resume_state(step + 1))
+                if step + 1 == tc.steps:
+                    last_ckpt = path
     finally:
         if writer is not None:
             f.close()
 
     if out_dir is not None:
-        head_mod.save_checkpoint(os.path.join(out_dir, "ckpt_final.json"),
-                                 params, hc, extra=resume_state(tc.steps))
+        final = os.path.join(out_dir, "ckpt_final.json")
+        if last_ckpt is not None:
+            # the same document: copy its bytes instead of serializing it again
+            with open(last_ckpt) as src, head_mod.atomic_open(final) as dst:
+                shutil.copyfileobj(src, dst)
+        else:
+            head_mod.save_checkpoint(final, params, hc, extra=resume_state(tc.steps))
         best_params = {k: ad.Param(v, k) for k, v in best_snapshot.items()}
         head_mod.save_checkpoint(
             os.path.join(out_dir, "ckpt_best.json"), best_params, hc,
@@ -343,7 +383,7 @@ def ablation_suite(dataset, head_config, train_config, seeds=(0, 1, 2),
         }
         results.append(row)
     if out_path is not None:
-        with open(out_path, "w") as f:
+        with head_mod.atomic_open(out_path) as f:
             w = csv.writer(f)
             w.writerow(["row", "mean_val_loss_act", "std", "n_seeds", "seeds",
                         "per_seed"])

@@ -139,29 +139,36 @@ def step(obs_width=15, action_width=7, obs_value=0.0):
     return {"obs": [obs_value] * obs_width, "action": [0.0] * action_width}
 
 
-@pytest.mark.parametrize("content", [
-    "",
-    '{"schema_version": 1, "task": "x", "q_6d": [1, 0, 0, 2, 0, 0], "steps": []}\n',
-    episode_line(),
-    episode_line(step()) + episode_line(step(obs_width=14)),
-    episode_line(step(action_width=5)),
-    episode_line(step(obs_value=float("nan"))),
-    "[1, 2]\n",
-    '{"schema_version": 1, "task": "x", "q_6d": [1, 0, 0, 0, 1, 0]}\n',
-    episode_line({"obs": [0.0] * 15}),
-    '{"schema_version": 1, "task": \n',
-    '{"schema_version": 1, "task": "x", "q_6d": null, "steps": []}\n',
+def degenerate_line(q_6d):
+    return json.dumps({"schema_version": 1, "task": "x", "q_6d": q_6d,
+                       "steps": [step()]}) + "\n"
+
+
+@pytest.mark.parametrize("content, where", [
+    ("", ""),
+    (degenerate_line([1, 0, 0, 2, 0, 0]), "line 1"),
+    (episode_line(), "line 1"),
+    (episode_line(step()) + episode_line(step(obs_width=14)), "line 2"),
+    (episode_line(step(action_width=5)), "line 1"),
+    (episode_line(step(obs_value=float("nan"))), "line 1"),
+    ("[1, 2]\n", "line 1"),
+    ('{"schema_version": 1, "task": "x", "q_6d": [1, 0, 0, 0, 1, 0]}\n', "line 1"),
+    (episode_line({"obs": [0.0] * 15}), "line 1"),
+    ('{"schema_version": 1, "task": \n', "line 1"),
+    ('{"schema_version": 1, "task": "x", "q_6d": null, "steps": []}\n', "line 1"),
+    (episode_line(step()) + degenerate_line([0, 1, 0, 0, 2, 0])
+     + episode_line(step()), "line 2"),
 ], ids=["empty", "degenerate_q_6d", "no_steps", "ragged_obs", "action_width",
         "nan_obs", "not_object", "missing_steps", "missing_action", "bad_json",
-        "null_q_6d"])
-def test_train_rejects_bad_dataset(tmp_path, capsys, content):
+        "null_q_6d", "degenerate_q_6d_line_2"])
+def test_train_rejects_bad_dataset(tmp_path, capsys, content, where):
     data = tmp_path / "data.jsonl"
     data.write_text(content)
     code = run_cli(["train", "--data", str(data), "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert str(data) in err
+    assert str(data) in err and where in err
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -194,8 +201,9 @@ def test_config_value_type_checked(tmp_path, capsys, section, key, value):
     ("params", "rest.b", None),
     ("params", "dict_rot", np.zeros((2, 3, 2)).tolist()),
     ("params", "rest.b", [[0.0], []]),
+    (None, "schema_version", 1),
 ], ids=["no_config", "no_params", "unknown_config_key", "missing_tensor",
-        "dict_rot_shape", "ragged_tensor"])
+        "dict_rot_shape", "ragged_tensor", "schema_1"])
 def test_diagnose_rejects_bad_checkpoint(tmp_path, capsys, section, key, value):
     data = tmp_path / "data.jsonl"
     data.write_text(episode_line(step()))
@@ -232,6 +240,35 @@ def test_resume_needs_optimizer_state(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert str(best) in err and "optimizer state" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("m", None),
+    ("v", [[0.0]]),
+    ("m", "not base64!"),
+    ("v", "AAAAAAAAAAA="),
+    ("step_count", 2.5),
+], ids=["missing_m", "list_v", "invalid_base64", "wrong_length", "float_step_count"])
+def test_resume_rejects_malformed_optimizer_state(tmp_path, capsys, key, value):
+    cfg = small_config(tmp_path, train={"steps": 10, "warmup": 2,
+                                        "eval_interval": 5, "ckpt_interval": 5})
+    data = tmp_path / "data.jsonl"
+    run_cli(["gen-data", "--config", cfg, "--out", str(data)])
+    train = ["train", "--data", str(data), "--config", cfg,
+             "--out", str(tmp_path / "run")]
+    assert run_cli(train) == cli.EXIT_OK
+    capsys.readouterr()
+    ckpt = tmp_path / "run" / "ckpt_5.json"
+    doc = json.loads(ckpt.read_text())
+    if value is None:
+        del doc["extra"]["optimizer"][key]
+    else:
+        doc["extra"]["optimizer"][key] = value
+    ckpt.write_text(json.dumps(doc))
+    assert run_cli(train + ["--resume", str(ckpt)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(ckpt) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("exc, code", [

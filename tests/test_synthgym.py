@@ -216,6 +216,8 @@ def test_jsonl_roundtrip(tmp_path):
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.obs, b.obs)
         assert np.abs(a.q - b.q).max() < 1e-12
+        # one batched decode gives each row's own decode, bit for bit
+        assert np.array_equal(b.q, so3.decode_6d(so3.encode_6d(a.q)))
 
 
 def test_jsonl_crash_keeps_old_file(tmp_path, monkeypatch):

@@ -1,3 +1,7 @@
+import base64
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -123,6 +127,51 @@ def test_resume_bitwise_identical(tmp_path):
         (out_a / "metrics.csv").read_bytes()
 
 
+def test_adamw_state_roundtrip_exact():
+    hc, tc = tiny_configs()
+    params = head.init_params(hc, np.random.default_rng(4))
+    opt = trainer.AdamW(params, tc)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        for p in params.values():
+            p.grad = rng.normal(size=p.value.shape)
+        opt.step(1e-3)
+    state = json.loads(json.dumps(opt.state()))
+    flat = np.frombuffer(base64.b64decode(state["m"]), dtype="<f8")
+    assert np.array_equal(flat, np.concatenate([opt.m[k].ravel() for k in params]))
+    other = trainer.AdamW(params, tc)
+    other.load_state(state)
+    assert other.step_count == opt.step_count == 3
+    for k in params:
+        assert np.array_equal(other.m[k], opt.m[k])
+        assert np.array_equal(other.v[k], opt.v[k])
+
+
+def test_final_checkpoint_copies_last_periodic(tmp_path):
+    ds = tiny_dataset()
+    hc, tc = tiny_configs(steps=20, warmup=2, ckpt_interval=10)
+    out = tmp_path / "run"
+    trainer.train(ds, hc, tc, out_dir=str(out))
+    assert (out / "ckpt_final.json").read_bytes() == (out / "ckpt_20.json").read_bytes()
+
+
+def test_final_checkpoint_without_periodic_one(tmp_path):
+    # 25 steps, checkpoints every 10: no ckpt_25.json to copy
+    ds = tiny_dataset()
+    hc, tc = tiny_configs(steps=25, warmup=2, ckpt_interval=10)
+    out = tmp_path / "run"
+    pa, _, _ = trainer.train(ds, hc, tc, out_dir=str(out))
+    assert not (out / "ckpt_25.json").exists()
+    final = out / "ckpt_final.json"
+    # a resume that starts at the last step writes ckpt_final.json itself
+    moved = out / "moved.json"
+    final.replace(moved)
+    pb, _, _ = trainer.train(ds, hc, tc, out_dir=str(out), resume=str(moved))
+    assert final.read_bytes() == moved.read_bytes()
+    for k in pa:
+        assert np.array_equal(pa[k].value, pb[k].value)
+
+
 def test_resume_rejects_config_mismatch(tmp_path):
     ds = tiny_dataset()
     hc, tc = tiny_configs(ckpt_interval=10)
@@ -189,6 +238,28 @@ def test_ablation_suite_output(tmp_path):
     assert path.exists()
     text = path.read_text()
     assert "bc-mlp" in text and "mcf-proto-full" in text
+
+
+def test_ablation_csv_crash_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "ablation.csv"
+    hc, tc = tiny_configs()
+    ds = tiny_dataset(episodes=1)
+    monkeypatch.setattr(trainer, "train", lambda *args, **kwargs: (None, None, (0.5, 1)))
+    trainer.ablation_suite(ds, hc, tc, seeds=(0,), out_path=str(path))
+    before = path.read_bytes()
+
+    class DiskFull(float):
+        """A validation loss whose CSV text fails to be written."""
+
+        def __repr__(self):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(trainer, "train",
+                        lambda *args, **kwargs: (None, None, (DiskFull(0.25), 1)))
+    with pytest.raises(OSError):
+        trainer.ablation_suite(ds, hc, tc, seeds=(0,), out_path=str(path))
+    assert path.read_bytes() == before
+    assert not os.path.exists(f"{path}.tmp")
 
 
 @pytest.mark.parametrize("exc", [
