@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -82,6 +82,12 @@ def load_config(path):
                 raise ConfigError(f"config key {section}.{key} must be "
                                   f"{expected}, got {json.dumps(val)}")
             merged[section][key] = val
+    diag = merged["diagnostics"]  # min_displacement may also be null
+    for key, low in (("time_bins", 1), ("random_baseline_samples", 1),
+                     ("min_displacement", 0)):
+        if diag[key] is not None and diag[key] < low:
+            raise ConfigError(f"config key diagnostics.{key} must be at least "
+                              f"{low}, got {json.dumps(diag[key])}")
     return merged
 
 
@@ -191,50 +197,54 @@ def cmd_diagnose(args):
     os.makedirs(args.out, exist_ok=True)
     write_resolved(cfg, args.out)
 
-    world = {}
-    local_by_task = {}
-    compat_learned = {}
-    compat_gt = {}
-    compat_random = {}
-    outputs = []
+    # Every per-step array holds the steps in task order (a stable sort of the
+    # episodes), so that each task's steps are one contiguous slice of it.
+    tasks = dataset.task_names
+    order = sorted(range(len(dataset.episodes)),
+                   key=lambda i: dataset.episodes[i].task_idx)
+    ordered = replace(dataset, episodes=[dataset.episodes[i] for i in order])
+    lengths = [len(ep.obs) for ep in ordered.episodes]
+    step_edges = np.cumsum([0] + lengths)
+    ep_edges = np.searchsorted([ep.task_idx for ep in ordered.episodes],
+                               np.arange(len(tasks) + 1))
+    spans = {task: slice(step_edges[a], step_edges[b])
+             for task, a, b in zip(tasks, ep_edges, ep_edges[1:])}
+    baseline = diagnostics.random_min_angle_mc(n=dcfg["random_baseline_samples"])
     rng = np.random.Generator(np.random.Philox(key=[0xD1A6, 0]))
-    lengths = [len(ep.obs) for ep in dataset.episodes]
-    draws = [so3.draw_rotations(rng, t) for t in lengths]  # in episode order
-    random_frames = np.split(so3.rotations_from_draws(
-        *map(np.concatenate, zip(*draws))), np.cumsum(lengths)[:-1])
-    for ep, rnd in zip(dataset.episodes, random_frames):
-        out = diagnostics.predict_step_outputs(params, hc, ep.obs)
-        outputs.append(out)
-        frames = out["frames"]
-        world.setdefault(ep.task, []).append(ep.actions[:, :6])
-        local_by_task.setdefault(ep.task, []).append(
-            diagnostics.local_actions(ep.actions, frames))
-        compat_learned.setdefault(ep.task, []).append((ep.actions[:, :3], frames))
-        gt = np.broadcast_to(ep.q, frames.shape).copy()
-        compat_gt.setdefault(ep.task, []).append((ep.actions[:, :3], gt))
-        compat_random.setdefault(ep.task, []).append((ep.actions[:, :3], rnd))
+    draws = [so3.draw_rotations(rng, len(ep.obs)) for ep in dataset.episodes]
+    random_frames = so3.rotations_from_draws(
+        *map(np.concatenate, zip(*(draws[i] for i in order))))
+    outputs = diagnostics.predict_step_outputs(
+        params, hc, np.concatenate([ep.obs for ep in ordered.episodes]))
+    actions = np.concatenate([ep.actions for ep in ordered.episodes])
+    local = diagnostics.local_actions(actions, outputs["frames"])
+    local_by_episode = np.split(local, step_edges[1:-1])
+    scene_frames = np.repeat([ep.q for ep in ordered.episodes], lengths, axis=0)
+
+    def by_task(steps):
+        return {task: steps[span] for task, span in spans.items()}
+
+    def compat_of(frames):
+        return diagnostics.compatibility(
+            {task: [(actions[span, :3], frames[span])]
+             for task, span in spans.items()},
+            min_displacement=dcfg["min_displacement"])
 
     conc = {
-        "world": diagnostics.concentration(
-            {k: np.concatenate(v) for k, v in world.items()}),
-        "learned_local": diagnostics.concentration(
-            {k: np.concatenate(v) for k, v in local_by_task.items()}),
+        "world": diagnostics.concentration(by_task(actions[:, :6])),
+        "learned_local": diagnostics.concentration(by_task(local)),
     }
     compat = {
-        "learned": diagnostics.compatibility(
-            compat_learned, min_displacement=dcfg["min_displacement"]),
-        "ground_truth": diagnostics.compatibility(
-            compat_gt, min_displacement=dcfg["min_displacement"]),
-        "random": diagnostics.compatibility(
-            compat_random, min_displacement=dcfg["min_displacement"]),
-        "random_mc_baseline_deg": diagnostics.random_min_angle_mc(
-            n=dcfg["random_baseline_samples"]),
+        "learned": compat_of(outputs["frames"]),
+        "ground_truth": compat_of(scene_frames),
+        "random": compat_of(random_frames),
+        "random_mc_baseline_deg": baseline,
     }
-    usage = diagnostics.usage_matrix(dataset, outputs)
+    usage = diagnostics.usage_matrix(ordered, outputs)
     timelines = {
-        task: diagnostics.axis_timeline(local_by_task[task],
+        task: diagnostics.axis_timeline(local_by_episode[a:b],
                                         time_bins=dcfg["time_bins"])
-        for task in dataset.task_names
+        for task, a, b in zip(tasks, ep_edges, ep_edges[1:])
     }
 
     _write_concentration_csv(os.path.join(args.out, "concentration.csv"), conc)

@@ -25,6 +25,10 @@ METRIC_COLUMNS = ["step", "lr", "loss_total", "loss_act", "loss_ortho",
                   "loss_smooth", "val_loss_act"]
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class TrainingDiverged(RuntimeError):
     def __init__(self, step, value):
         super().__init__(f"non-finite loss at step {step}: {value}")
@@ -121,7 +125,7 @@ class AdamW:
         if not isinstance(state, dict):
             raise ValueError("optimizer state is not a JSON object")
         step_count = state.get("step_count")
-        if not isinstance(step_count, int) or isinstance(step_count, bool):
+        if not _is_int(step_count):
             raise ValueError(f"optimizer step_count {step_count!r} is not an integer")
         sizes = [p.value.size for p in self.params.values()]
         moments = []
@@ -243,9 +247,19 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
             opt.load_state(extra["optimizer"])
         except ValueError as exc:
             raise ValueError(f"checkpoint {resume}: {exc}") from exc
-        start_step = extra["step"]
+        start_step = extra.get("step")
         best_val = extra.get("best_val", np.inf)
         best_step = extra.get("best_step", -1)
+        for key, ok, what in (
+                ("step", _is_int(start_step) and 0 <= start_step <= tc.steps,
+                 f"an integer in [0, {tc.steps}]"),
+                ("best_val", _is_int(best_val) or isinstance(best_val, float),
+                 "a number"),
+                ("best_step", _is_int(best_step), "an integer")):
+            if not ok:
+                got = repr(extra[key]) if key in extra else "nothing"
+                raise ValueError(f"checkpoint {resume}: {key} must be {what}, "
+                                 f"got {got}")
         best_snapshot = {k: p.value.copy() for k, p in params.items()}
 
     writer = None
@@ -299,6 +313,7 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
             if (out_dir is not None and tc.ckpt_interval
                     and (step + 1) % tc.ckpt_interval == 0):
                 path = os.path.join(out_dir, f"ckpt_{step + 1}.json")
+                f.flush()  # the log holds every row up to the checkpoint's step
                 head_mod.save_checkpoint(path, params, hc,
                                          extra=resume_state(step + 1))
                 if step + 1 == tc.steps:

@@ -14,6 +14,8 @@ import pytest
 from mcfproto import autodiff as ad
 from mcfproto import diagnostics, head, so3, synthgym, theoremlab, trainer
 
+pytestmark = pytest.mark.slow
+
 
 def report(tag, ok, detail=""):
     print(f"\n[{tag}] {'PASS' if ok else 'FAIL'}  {detail}")

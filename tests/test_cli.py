@@ -1,10 +1,11 @@
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
-from mcfproto import cli, head, linalg, so3, trainer
+from mcfproto import cli, diagnostics, head, linalg, so3, synthgym, trainer
 
 
 def run_cli(args):
@@ -103,6 +104,93 @@ def test_train_and_diagnose_pipeline(tmp_path):
         31.9, abs=1.0)
     for frames in ("learned", "ground_truth", "random"):
         assert "records" not in report["compatibility"][frames]
+
+
+def per_episode_diagnose(data, ckpt, out_dir, time_bins):
+    """The diagnose CSVs computed one episode at a time: one head forward per
+    episode, per-task lists gathered episode by episode, a loop over steps."""
+    ds = synthgym.load_jsonl(data)
+    params, hc, _ = head.load_checkpoint(ckpt)
+    rng = np.random.Generator(np.random.Philox(key=[0xD1A6, 0]))
+    world, local, gating = {}, {}, {}
+    pairs = {"learned": {}, "ground_truth": {}, "random": {}}
+    counts = {task: np.zeros((2, time_bins, 3)) for task in ds.task_names}
+    for ep in ds.episodes:
+        out = head.head_forward(ep.obs, params, hc)
+        frames = out.frames.value[:, 0]
+        loc = diagnostics.local_actions(ep.actions, frames)
+        world.setdefault(ep.task, []).append(ep.actions[:, :6])
+        local.setdefault(ep.task, []).append(loc)
+        gating.setdefault(ep.task, []).append(
+            (out.gating_trans.value[:, 0], out.gating_rot.value[:, 0]))
+        for name, f in (
+                ("learned", frames),
+                ("ground_truth", np.broadcast_to(ep.q, frames.shape)),
+                ("random", so3.rotations_from_draws(
+                    *so3.draw_rotations(rng, len(ep.obs))))):
+            pairs[name].setdefault(ep.task, []).append((ep.actions[:, :3], f))
+        for i, row in enumerate(loc):
+            b = min(i * time_bins // len(loc), time_bins - 1)
+            counts[ep.task][0, b, np.abs(row[:3]).argmax()] += 1
+            counts[ep.task][1, b, np.abs(row[3:]).argmax()] += 1
+    cli._write_concentration_csv(out_dir / "concentration.csv", {
+        "world": diagnostics.concentration(
+            {t: np.concatenate(v) for t, v in world.items()}),
+        "learned_local": diagnostics.concentration(
+            {t: np.concatenate(v) for t, v in local.items()}),
+    })
+    cli._write_compat_csv(out_dir / "compatibility.csv", {
+        name: diagnostics.compatibility(p) for name, p in pairs.items()})
+    usage = {"tasks": ds.task_names}
+    for j, kind in enumerate(("trans", "rot")):
+        usage[kind] = np.array([
+            sum(g[j].sum(axis=0) for g in gating[t])
+            / sum(len(g[j]) for g in gating[t]) for t in ds.task_names])
+    cli._write_usage_csv(out_dir / "usage_matrix.csv", usage)
+    cli._write_timeline_csv(out_dir / "axis_timeline.csv", {
+        t: {"trans": c[0] / c[0].sum(axis=1, keepdims=True),
+            "rot": c[1] / c[1].sum(axis=1, keepdims=True)}
+        for t, c in counts.items()})
+
+
+def test_diagnose_matches_per_episode_reference(tmp_path, monkeypatch):
+    # tasks interleaved in the file, and chunks that end inside episodes
+    ds = synthgym.generate(synthgym.default_templates(), 6, seed=3)
+    order = np.random.default_rng(0).permutation(len(ds.episodes))
+    ds.episodes = [ds.episodes[i] for i in order]
+    data = tmp_path / "data.jsonl"
+    synthgym.save_jsonl(ds, str(data))
+    hc = head.HeadConfig()
+    ckpt = tmp_path / "ckpt.json"
+    head.save_checkpoint(str(ckpt), head.init_params(hc, np.random.default_rng(1)),
+                         hc)
+    monkeypatch.setattr(diagnostics, "_CHUNK", 50)
+    cfg = small_config(tmp_path, diagnostics={"time_bins": 4})
+    assert run_cli(["diagnose", "--data", str(data), "--ckpt", str(ckpt),
+                    "--config", cfg, "--out", str(tmp_path / "diag")]) == 0
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    per_episode_diagnose(str(data), str(ckpt), ref, time_bins=4)
+
+    for name in ("concentration.csv", "compatibility.csv", "usage_matrix.csv",
+                 "axis_timeline.csv"):
+        with open(tmp_path / "diag" / name) as f:
+            got = list(csv.reader(f))
+        with open(ref / name) as f:
+            want = list(csv.reader(f))
+        assert [len(row) for row in got] == [len(row) for row in want]
+        header = want[0]
+        for g_row, w_row in zip(got[1:], want[1:]):
+            for column, g, w in zip(header, g_row, w_row):
+                if column in ("frame", "frames", "dictionary", "task", "block",
+                              "bin", "n_steps"):
+                    assert g == w
+                elif w:
+                    assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0)
+                else:
+                    assert g == ""
+    assert ((tmp_path / "diag" / "axis_timeline.csv").read_bytes()
+            == (ref / "axis_timeline.csv").read_bytes())
 
 
 def test_train_rerun_from_resolved_config_bitwise(tmp_path):
@@ -269,6 +357,63 @@ def test_resume_rejects_malformed_optimizer_state(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert str(ckpt) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("step", None),
+    ("step", "5"),
+    ("step", True),
+    ("step", 5.0),
+    ("step", -1),
+    ("step", 11),
+    ("best_val", "0.5"),
+    ("best_val", None),
+    ("best_step", 2.5),
+], ids=["missing_step", "string_step", "bool_step", "float_step", "negative_step",
+        "step_past_end", "string_best_val", "null_best_val", "float_best_step"])
+def test_resume_rejects_malformed_counters(tmp_path, capsys, key, value):
+    cfg = small_config(tmp_path, train={"steps": 10, "warmup": 2,
+                                        "eval_interval": 5, "ckpt_interval": 5})
+    data = tmp_path / "data.jsonl"
+    run_cli(["gen-data", "--config", cfg, "--out", str(data)])
+    train = ["train", "--data", str(data), "--config", cfg,
+             "--out", str(tmp_path / "run")]
+    assert run_cli(train) == cli.EXIT_OK
+    capsys.readouterr()
+    ckpt = tmp_path / "run" / "ckpt_5.json"
+    doc = json.loads(ckpt.read_text())
+    if key == "step" and value is None:
+        del doc["extra"][key]
+    else:
+        doc["extra"][key] = value
+    ckpt.write_text(json.dumps(doc))
+    assert run_cli(train + ["--resume", str(ckpt)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(ckpt) in err and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("time_bins", 0),
+    ("random_baseline_samples", 0),
+    ("min_displacement", -0.01),
+])
+def test_diagnose_rejects_out_of_range_diagnostics_config(tmp_path, capsys, key,
+                                                          value):
+    data = tmp_path / "data.jsonl"
+    data.write_text(episode_line(step()))
+    hc = head.HeadConfig(hidden=4, k_trans=2, k_rot=2, horizon=2)
+    ckpt = tmp_path / "ckpt.json"
+    head.save_checkpoint(str(ckpt), head.init_params(hc, np.random.default_rng(0)),
+                         hc)
+    cfg = small_config(tmp_path, diagnostics={key: value})
+    diag = tmp_path / "diag"
+    code = run_cli(["diagnose", "--data", str(data), "--ckpt", str(ckpt),
+                    "--config", cfg, "--out", str(diag)])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"diagnostics.{key}" in err
+    assert not diag.exists()
 
 
 @pytest.mark.parametrize("exc, code", [

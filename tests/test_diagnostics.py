@@ -178,6 +178,21 @@ def test_predict_step_outputs_shapes():
     assert out["gating_trans"].shape == (9, 4)
 
 
+def test_predict_step_outputs_chunked_matches_per_episode():
+    # more rows than one chunk and not a multiple of it; episode-sized pieces
+    # as the reference, each one head forward
+    cfg = head.HeadConfig()
+    params = head.init_params(cfg, np.random.default_rng(10))
+    n = 2 * diagnostics._CHUNK + 37
+    obs = np.random.default_rng(11).normal(size=(n, cfg.obs_dim))
+    out = diagnostics.predict_step_outputs(params, cfg, obs)
+    for lo in range(0, n, 12):
+        ref = head.head_forward(obs[lo:lo + 12], params, cfg)
+        for key in ("frames", "gating_trans", "gating_rot"):
+            want = getattr(ref, key).value[:, 0]
+            assert out[key][lo:lo + 12] == pytest.approx(want, rel=0, abs=1e-14)
+
+
 def test_usage_matrix_simplex_rows():
     params, cfg = _tiny_model()
     ds = synthgym.generate(synthgym.default_templates(), 2, seed=9)
@@ -188,6 +203,19 @@ def test_usage_matrix_simplex_rows():
     assert np.abs(usage["trans"].sum(axis=1) - 1.0).max() < 1e-9
     assert np.abs(usage["rot"].sum(axis=1) - 1.0).max() < 1e-9
     assert usage["tasks"] == ds.task_names
+
+
+def test_usage_matrix_one_output_for_all_steps():
+    params, cfg = _tiny_model()
+    ds = synthgym.generate(synthgym.default_templates(), 2, seed=9)
+    per_episode = [diagnostics.predict_step_outputs(params, cfg, ep.obs)
+                   for ep in ds.episodes]
+    whole = diagnostics.predict_step_outputs(
+        params, cfg, np.concatenate([ep.obs for ep in ds.episodes]))
+    a = diagnostics.usage_matrix(ds, per_episode)
+    b = diagnostics.usage_matrix(ds, whole)
+    for kind in ("trans", "rot"):
+        assert a[kind] == pytest.approx(b[kind], rel=1e-12, abs=0)
 
 
 def test_row_entropy_values():
@@ -211,6 +239,21 @@ def test_axis_timeline_two_phase():
     assert len(phases) == 2
     assert phases[0][0] == 0 and phases[1][0] == 2
     assert phases[0][2] == 4 and phases[1][1] == 5
+
+
+def test_axis_timeline_matches_step_loop():
+    rng = np.random.default_rng(12)
+    episodes = [rng.normal(size=(t, 6)) for t in (1, 3, 7, 10, 13, 25)]
+    counts = np.zeros((2, 4, 3))
+    for local in episodes:
+        for i, row in enumerate(local):
+            b = min(i * 4 // len(local), 3)
+            counts[0, b, np.abs(row[:3]).argmax()] += 1
+            counts[1, b, np.abs(row[3:]).argmax()] += 1
+    want = counts / counts.sum(axis=2, keepdims=True)
+    tl = diagnostics.axis_timeline(episodes, time_bins=4)
+    assert np.array_equal(tl["trans"], want[0])
+    assert np.array_equal(tl["rot"], want[1])
 
 
 def test_dominant_axis_phases_merging_and_threshold():

@@ -127,6 +127,28 @@ def test_resume_bitwise_identical(tmp_path):
         (out_a / "metrics.csv").read_bytes()
 
 
+def test_metrics_on_disk_before_each_periodic_checkpoint(tmp_path, monkeypatch):
+    # a run killed right after ckpt_<k>.json lands must have logged every row
+    # up to step k, or a resume from that checkpoint loses them
+    ds = tiny_dataset()
+    hc, tc = tiny_configs(steps=30, ckpt_interval=10)
+    out = tmp_path / "run"
+    seen = {}
+    save = head.save_checkpoint
+
+    def save_and_read_log(path, *args, **kwargs):
+        with open(out / "metrics.csv") as f:
+            seen[os.path.basename(path)] = f.read()
+        return save(path, *args, **kwargs)
+
+    monkeypatch.setattr(head, "save_checkpoint", save_and_read_log)
+    trainer.train(ds, hc, tc, out_dir=str(out))
+    lines = (out / "metrics.csv").read_text().splitlines(keepends=True)
+    for k in (10, 20, 30):
+        upto_k = [ln for ln in lines[1:] if int(ln.split(",", 1)[0]) <= k]
+        assert seen[f"ckpt_{k}.json"] == "".join(lines[:1] + upto_k)
+
+
 def test_adamw_state_roundtrip_exact():
     hc, tc = tiny_configs()
     params = head.init_params(hc, np.random.default_rng(4))
