@@ -240,7 +240,7 @@ def cmd_diagnose(args):
         "random": compat_of(random_frames),
         "random_mc_baseline_deg": baseline,
     }
-    usage = diagnostics.usage_matrix(ordered, outputs)
+    usage = diagnostics.usage_matrix(ordered, [outputs])
     timelines = {
         task: diagnostics.axis_timeline(local_by_episode[a:b],
                                         time_bins=dcfg["time_bins"])

@@ -178,19 +178,16 @@ def predict_step_outputs(params, config, obs):
 def usage_matrix(dataset, outputs):
     """Mean gating weights per task: {kind: (tasks, K) rows on the simplex}.
 
-    outputs is predict_step_outputs over the steps of dataset.episodes in
-    their order: one dict for all of them, or a list with one per episode.
+    outputs is a list of predict_step_outputs dicts whose concatenated steps
+    follow dataset.episodes in order (one per episode, or one for them all).
     """
-    if not isinstance(outputs, dict):
-        outputs = {key: np.concatenate([out[key] for out in outputs])
-                   for key in ("gating_trans", "gating_rot")}
     n_tasks = len(dataset.task_names)
     task = np.repeat([ep.task_idx for ep in dataset.episodes],
                      [len(ep.obs) for ep in dataset.episodes])
     counts = np.bincount(task, minlength=n_tasks)[:, None]
     usage = {"tasks": list(dataset.task_names)}
     for kind in ("trans", "rot"):
-        gating = outputs[f"gating_{kind}"]
+        gating = np.concatenate([out[f"gating_{kind}"] for out in outputs])
         sums = np.zeros((n_tasks, gating.shape[1]))
         np.add.at(sums, task, gating)
         usage[kind] = sums / counts

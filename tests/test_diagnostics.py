@@ -213,7 +213,7 @@ def test_usage_matrix_one_output_for_all_steps():
     whole = diagnostics.predict_step_outputs(
         params, cfg, np.concatenate([ep.obs for ep in ds.episodes]))
     a = diagnostics.usage_matrix(ds, per_episode)
-    b = diagnostics.usage_matrix(ds, whole)
+    b = diagnostics.usage_matrix(ds, [whole])
     for kind in ("trans", "rot"):
         assert a[kind] == pytest.approx(b[kind], rel=1e-12, abs=0)
 
