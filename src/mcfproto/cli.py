@@ -17,8 +17,9 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import diagnostics, so3, synthgym, theoremlab, trainer
-from .head import HeadConfig, atomic_open, load_checkpoint
-from .trainer import TrainConfig, TrainingDiverged
+from .head import (HeadConfig, atomic_open, load_checkpoint, load_json_object,
+                   type_mismatch)
+from .trainer import TrainConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -50,26 +51,11 @@ def default_config():
     }
 
 
-def _type_mismatch(default, val):
-    """None when `val` has the JSON type that a key with this default takes;
-    otherwise what the key takes."""
-    if isinstance(default, bool):
-        return None if isinstance(val, bool) else "true or false"
-    number = isinstance(val, (int, float)) and not isinstance(val, bool)
-    if isinstance(default, int):
-        return None if number and isinstance(val, int) else "an integer"
-    if default is None:
-        return None if number or val is None else "a number or null"
-    return None if number else "a number"
-
-
 def load_config(path):
     merged = default_config()
     if path is None:
         return merged
-    with open(path) as f:
-        user = json.load(f)
-    for section, values in user.items():
+    for section, values in load_json_object(path, "config").items():
         if section not in merged:
             raise ConfigError(f"unknown config section: {section!r}")
         if not isinstance(values, dict):
@@ -77,7 +63,7 @@ def load_config(path):
         for key, val in values.items():
             if key not in merged[section]:
                 raise ConfigError(f"unknown config key: {section}.{key}")
-            expected = _type_mismatch(merged[section][key], val)
+            expected = type_mismatch(merged[section][key], val)
             if expected:
                 raise ConfigError(f"config key {section}.{key} must be "
                                   f"{expected}, got {json.dumps(val)}")
@@ -154,13 +140,8 @@ def cmd_train(args):
             f"dataset obs dim {dataset.obs_dim} != head.obs_dim {hc.obs_dim}"
         )
     write_resolved(cfg, args.out)
-    try:
-        _, metrics, (best_val, best_step) = trainer.train(
-            dataset, hc, tc, out_dir=args.out, resume=args.resume
-        )
-    except TrainingDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    _, _, (best_val, best_step) = trainer.train(
+        dataset, hc, tc, out_dir=args.out, resume=args.resume)
     print(f"best val_loss_act {best_val!r} at step {best_step}")
     return EXIT_OK
 

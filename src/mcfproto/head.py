@@ -336,22 +336,48 @@ def save_checkpoint(path, params, config, extra=None):
         _write_json(doc, f)
 
 
+def type_mismatch(default, val):
+    """None when `val` has the JSON type that a key with this default takes;
+    otherwise what the key takes."""
+    if isinstance(default, bool):
+        return None if isinstance(val, bool) else "true or false"
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if isinstance(default, int):
+        return None if number and isinstance(val, int) else "an integer"
+    if default is None:
+        return None if number or val is None else "a number or null"
+    return None if number else "a number"
+
+
+def load_json_object(path, what):
+    """The JSON object in file `path`; else a ValueError naming `what` and `path`."""
+    with open(path) as f:
+        try:
+            doc = json.load(f)
+        except ValueError as exc:
+            raise ValueError(f"{what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} {path}: not a JSON object")
+    return doc
+
+
 def load_checkpoint(path):
     """Read a save_checkpoint document: (params, config, extra). Raises
     ValueError naming `path` when it is not one for a head of its config."""
-    with open(path) as f:
-        doc = json.load(f)
-
     def invalid(what):
         return ValueError(f"checkpoint {path}: {what}")
 
-    if not isinstance(doc, dict):
-        raise invalid("not a JSON object")
+    doc = load_json_object(path, "checkpoint")
     if doc.get("schema_version") != CHECKPOINT_SCHEMA:
         raise invalid(f"unsupported checkpoint schema: {doc.get('schema_version')}")
     for key in ("config", "params"):
         if not isinstance(doc.get(key), dict):
             raise invalid(f"no {key!r} object")
+    defaults = asdict(HeadConfig())
+    for key, val in doc["config"].items():
+        expected = key in defaults and type_mismatch(defaults[key], val)
+        if expected:
+            raise invalid(f"config key {key} must be {expected}, got {json.dumps(val)}")
     try:
         config = HeadConfig(**doc["config"])
         params = {k: ad.Param(np.array(v, dtype=float), k)

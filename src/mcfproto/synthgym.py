@@ -87,12 +87,6 @@ class Dataset:
     noise_scale: float
     seed: int
 
-    def by_task(self):
-        groups = {name: [] for name in self.task_names}
-        for ep in self.episodes:
-            groups[ep.task].append(ep)
-        return groups
-
     @property
     def obs_dim(self):
         return self.episodes[0].obs.shape[1]

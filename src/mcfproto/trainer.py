@@ -11,6 +11,7 @@ import base64
 import csv
 import logging
 import os
+import reprlib
 import shutil
 from dataclasses import dataclass, asdict, replace
 
@@ -56,6 +57,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.warmup > self.steps:
             raise ValueError("warmup must not exceed total steps")
+        if self.eval_interval < 1:
+            raise ValueError("eval_interval must be >= 1")
+        if self.ckpt_interval < 0:
+            raise ValueError("ckpt_interval must be >= 0")
 
 
 def cosine_lr(step, config):
@@ -109,15 +114,10 @@ class AdamW:
             p.value -= lr * update
 
     def state(self):
-        """step_count, and the moments m and v each as one base64 string of
-        little-endian float64 ("<f8"), concatenated in parameter order:
-        exact, and far smaller and faster to write than repr lists."""
-        def encode(moments):
-            flat = np.concatenate([moments[k].ravel() for k in self.params])
-            return base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii")
-
+        """step_count, and the moments m and v each as one encode_f8 string."""
         return {"step_count": self.step_count,
-                "m": encode(self.m), "v": encode(self.v)}
+                "m": encode_f8(self.m[k] for k in self.params),
+                "v": encode_f8(self.v[k] for k in self.params)}
 
     def load_state(self, state):
         """Inverse of state(). Raises ValueError when `state` is not one for
@@ -127,26 +127,37 @@ class AdamW:
         step_count = state.get("step_count")
         if not _is_int(step_count):
             raise ValueError(f"optimizer step_count {step_count!r} is not an integer")
-        sizes = [p.value.size for p in self.params.values()]
-        moments = []
-        for key in ("m", "v"):
-            text = state.get(key)
-            if not isinstance(text, str):
-                raise ValueError(f"optimizer moment {key!r} is not a base64 string")
-            try:
-                raw = base64.b64decode(text, validate=True)
-            except ValueError as exc:
-                raise ValueError(f"optimizer moment {key!r} is not valid base64: "
-                                 f"{exc}") from exc
-            if len(raw) != 8 * sum(sizes):
-                raise ValueError(f"optimizer moment {key!r} holds {len(raw)} bytes, "
-                                 f"not 8 x {sum(sizes)} parameters")
-            flat = np.frombuffer(raw, dtype="<f8").astype(float)
-            parts = np.split(flat, np.cumsum(sizes)[:-1])
-            moments.append({k: part.reshape(p.value.shape)
-                            for (k, p), part in zip(self.params.items(), parts)})
+        self.m, self.v = (decode_f8(state.get(key), self.params,
+                                    f"optimizer moment {key!r}")
+                          for key in ("m", "v"))
         self.step_count = step_count
-        self.m, self.v = moments
+
+
+def encode_f8(arrays):
+    """The arrays as one base64 string of little-endian float64 ("<f8"),
+    concatenated in order: exact, and far smaller and faster to write than
+    repr lists."""
+    flat = np.concatenate([a.ravel() for a in arrays])
+    return base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii")
+
+
+def decode_f8(text, params, what):
+    """Inverse of encode_f8 for arrays shaped like `params`, in their order:
+    {name: array}. Raises ValueError naming `what` when `text` is not one."""
+    if not isinstance(text, str):
+        raise ValueError(f"{what} is not a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{what} is not valid base64: {exc}") from exc
+    sizes = [p.value.size for p in params.values()]
+    if len(raw) != 8 * sum(sizes):
+        raise ValueError(f"{what} holds {len(raw)} bytes, not 8 x {sum(sizes)} "
+                         "parameters")
+    flat = np.frombuffer(raw, dtype="<f8").astype(float)
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return {k: part.reshape(p.value.shape)
+            for (k, p), part in zip(params.items(), parts)}
 
 
 # ---------------------------------------------------------------------------
@@ -196,24 +207,13 @@ def eval_loss_act(obs, targets, params, config, batch=512):
 # training
 # ---------------------------------------------------------------------------
 
-def _truncate_metrics(path, last_step):
-    """Keep the header and the rows of metrics.csv up to last_step, so a
-    resumed run appends to the log an uninterrupted run would have."""
-    with open(path, newline="") as f:
-        lines = f.readlines()
-    kept = lines[:1] + [
-        line for line in lines[1:] if int(line.split(",", 1)[0]) <= last_step
-    ]
-    with open(path, "w", newline="") as f:
-        f.writelines(kept)
-
-
 def train(dataset, head_config, train_config, out_dir=None, resume=None):
     """Train the head; returns (params, metrics, best) where metrics is a
     list of row dicts (METRIC_COLUMNS) and best = (val_loss, step).
 
     resume: path to a checkpoint written by this function (periodic or
-    final); continues bitwise-identically to an uninterrupted run.
+    final); continues bitwise-identically to an uninterrupted run, and the
+    checkpoint alone holds what it needs, logged rows included.
     """
     hc, tc = head_config, train_config
     if not dataset.episodes:
@@ -233,7 +233,7 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
     best_val = np.inf
     best_step = -1
     best_snapshot = {k: p.value.copy() for k, p in params.items()}
-    metrics = []
+    rows = []    # the logged rows, as metrics.csv prints them
 
     if resume is not None:
         params, loaded_hc, extra = head_mod.load_checkpoint(resume)
@@ -245,82 +245,79 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
         opt = AdamW(params, tc)
         try:
             opt.load_state(extra["optimizer"])
+            best_snapshot = decode_f8(extra.get("best_params"), params, "best_params")
         except ValueError as exc:
             raise ValueError(f"checkpoint {resume}: {exc}") from exc
         start_step = extra.get("step")
         best_val = extra.get("best_val", np.inf)
         best_step = extra.get("best_step", -1)
+        rows = extra.get("metrics")
         for key, ok, what in (
                 ("step", _is_int(start_step) and 0 <= start_step <= tc.steps,
                  f"an integer in [0, {tc.steps}]"),
                 ("best_val", _is_int(best_val) or isinstance(best_val, float),
                  "a number"),
-                ("best_step", _is_int(best_step), "an integer")):
+                ("best_step", _is_int(best_step), "an integer"),
+                ("metrics", isinstance(rows, list) and all(
+                    isinstance(r, list) and len(r) == len(METRIC_COLUMNS)
+                    for r in rows), f"a list of rows of {len(METRIC_COLUMNS)} values")):
             if not ok:
-                got = repr(extra[key]) if key in extra else "nothing"
+                got = reprlib.repr(extra[key]) if key in extra else "nothing"
                 raise ValueError(f"checkpoint {resume}: {key} must be {what}, "
                                  f"got {got}")
-        best_snapshot = {k: p.value.copy() for k, p in params.items()}
 
-    writer = None
+    def write_metrics():
+        """metrics.csv, whole: a crash leaves the last complete log."""
+        with head_mod.atomic_open(os.path.join(out_dir, "metrics.csv")) as f:
+            writer = csv.writer(f)
+            writer.writerow(METRIC_COLUMNS)
+            writer.writerows([repr(x) if isinstance(x, float) else x for x in row]
+                             for row in rows)
+
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        metrics_path = os.path.join(out_dir, "metrics.csv")
-        append = resume is not None and os.path.exists(metrics_path)
-        if append:
-            _truncate_metrics(metrics_path, start_step)
-        f = open(metrics_path, "a" if append else "w")
-        writer = csv.writer(f)
-        if not append:
-            writer.writerow(METRIC_COLUMNS)
+        write_metrics()
 
     def resume_state(step):
         return {"step": step, "optimizer": opt.state(),
-                "best_val": best_val, "best_step": best_step}
+                "best_val": best_val, "best_step": best_step, "metrics": rows,
+                "best_params": encode_f8(best_snapshot.values())}
 
     n_chunks = len(tr_obs)
     last_ckpt = None    # ckpt_<steps>.json, when this call writes it
-    try:
-        for step in range(start_step, tc.steps):
-            rng = np.random.Generator(np.random.Philox(key=[tc.seed, 1 + step]))
-            idx = rng.integers(0, n_chunks, tc.batch_size)
-            loss_node, parts = head_mod.loss_total(
-                tr_obs[idx], tr_tgt[idx], params, hc
-            )
-            if not np.isfinite(loss_node.value):
-                raise TrainingDiverged(step, float(loss_node.value))
-            for p in params.values():
-                p.zero_grad()
-            ad.backward(loss_node)
-            lr = cosine_lr(step, tc)
-            opt.step(lr)
+    for step in range(start_step, tc.steps):
+        rng = np.random.Generator(np.random.Philox(key=[tc.seed, 1 + step]))
+        idx = rng.integers(0, n_chunks, tc.batch_size)
+        loss_node, parts = head_mod.loss_total(
+            tr_obs[idx], tr_tgt[idx], params, hc
+        )
+        if not np.isfinite(loss_node.value):
+            raise TrainingDiverged(step, float(loss_node.value))
+        for p in params.values():
+            p.zero_grad()
+        ad.backward(loss_node)
+        lr = cosine_lr(step, tc)
+        opt.step(lr)
 
-            val = None
-            if (step + 1) % tc.eval_interval == 0 or step + 1 == tc.steps:
-                val = eval_loss_act(va_obs, va_tgt, params, hc)
-                if val < best_val:
-                    best_val = val
-                    best_step = step + 1
-                    best_snapshot = {k: p.value.copy() for k, p in params.items()}
-            if val is not None or (step + 1) % 100 == 0 or step == 0:
-                row = [step + 1, lr, parts["loss_total"], parts["loss_act"],
-                       parts["loss_ortho"], parts["loss_smooth"],
-                       "" if val is None else val]
-                metrics.append(dict(zip(METRIC_COLUMNS, row)))
-                if writer is not None:
-                    writer.writerow([repr(x) if isinstance(x, float) else x
-                                     for x in row])
-            if (out_dir is not None and tc.ckpt_interval
-                    and (step + 1) % tc.ckpt_interval == 0):
-                path = os.path.join(out_dir, f"ckpt_{step + 1}.json")
-                f.flush()  # the log holds every row up to the checkpoint's step
-                head_mod.save_checkpoint(path, params, hc,
-                                         extra=resume_state(step + 1))
-                if step + 1 == tc.steps:
-                    last_ckpt = path
-    finally:
-        if writer is not None:
-            f.close()
+        val = None
+        if (step + 1) % tc.eval_interval == 0 or step + 1 == tc.steps:
+            val = eval_loss_act(va_obs, va_tgt, params, hc)
+            if val < best_val:
+                best_val = val
+                best_step = step + 1
+                best_snapshot = {k: p.value.copy() for k, p in params.items()}
+        if val is not None or (step + 1) % 100 == 0 or step == 0:
+            rows.append([step + 1, lr, parts["loss_total"], parts["loss_act"],
+                         parts["loss_ortho"], parts["loss_smooth"],
+                         "" if val is None else val])
+            if out_dir is not None:
+                write_metrics()
+        if (out_dir is not None and tc.ckpt_interval
+                and (step + 1) % tc.ckpt_interval == 0):
+            path = os.path.join(out_dir, f"ckpt_{step + 1}.json")
+            head_mod.save_checkpoint(path, params, hc, extra=resume_state(step + 1))
+            if step + 1 == tc.steps:
+                last_ckpt = path
 
     if out_dir is not None:
         final = os.path.join(out_dir, "ckpt_final.json")
@@ -335,7 +332,8 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
             os.path.join(out_dir, "ckpt_best.json"), best_params, hc,
             extra={"step": best_step, "best_val": best_val},
         )
-    return params, metrics, (best_val, best_step)
+    return (params, [dict(zip(METRIC_COLUMNS, row)) for row in rows],
+            (best_val, best_step))
 
 
 # ---------------------------------------------------------------------------

@@ -290,8 +290,11 @@ def test_config_value_type_checked(tmp_path, capsys, section, key, value):
     ("params", "dict_rot", np.zeros((2, 3, 2)).tolist()),
     ("params", "rest.b", [[0.0], []]),
     (None, "schema_version", 1),
+    ("config", "horizon", 7.0),
+    ("config", "learn_frame", "true"),
 ], ids=["no_config", "no_params", "unknown_config_key", "missing_tensor",
-        "dict_rot_shape", "ragged_tensor", "schema_1"])
+        "dict_rot_shape", "ragged_tensor", "schema_1", "float_horizon",
+        "string_learn_frame"])
 def test_diagnose_rejects_bad_checkpoint(tmp_path, capsys, section, key, value):
     data = tmp_path / "data.jsonl"
     data.write_text(episode_line(step()))
@@ -359,8 +362,11 @@ def test_resume_rejects_malformed_optimizer_state(tmp_path, capsys, key, value):
     assert str(ckpt) in err and "Traceback" not in err
 
 
+MISSING = object()
+
+
 @pytest.mark.parametrize("key, value", [
-    ("step", None),
+    ("step", MISSING),
     ("step", "5"),
     ("step", True),
     ("step", 5.0),
@@ -369,8 +375,18 @@ def test_resume_rejects_malformed_optimizer_state(tmp_path, capsys, key, value):
     ("best_val", "0.5"),
     ("best_val", None),
     ("best_step", 2.5),
+    ("metrics", MISSING),
+    ("metrics", {"rows": []}),
+    ("metrics", [[5, 0.001, 1.0]]),
+    ("best_params", MISSING),
+    ("best_params", [0.0]),
+    ("best_params", "not base64!"),
+    ("best_params", "AAAAAAAAAAA="),
 ], ids=["missing_step", "string_step", "bool_step", "float_step", "negative_step",
-        "step_past_end", "string_best_val", "null_best_val", "float_best_step"])
+        "step_past_end", "string_best_val", "null_best_val", "float_best_step",
+        "missing_metrics", "object_metrics", "short_metrics_row",
+        "missing_best_params", "list_best_params", "invalid_base64_best_params",
+        "wrong_length_best_params"])
 def test_resume_rejects_malformed_counters(tmp_path, capsys, key, value):
     cfg = small_config(tmp_path, train={"steps": 10, "warmup": 2,
                                         "eval_interval": 5, "ckpt_interval": 5})
@@ -382,7 +398,7 @@ def test_resume_rejects_malformed_counters(tmp_path, capsys, key, value):
     capsys.readouterr()
     ckpt = tmp_path / "run" / "ckpt_5.json"
     doc = json.loads(ckpt.read_text())
-    if key == "step" and value is None:
+    if value is MISSING:
         del doc["extra"][key]
     else:
         doc["extra"][key] = value
@@ -391,6 +407,18 @@ def test_resume_rejects_malformed_counters(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert str(ckpt) in err and key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("eval_interval", 0), ("ckpt_interval", -1)])
+def test_train_rejects_out_of_range_interval(tmp_path, capsys, key, value):
+    data = tmp_path / "data.jsonl"
+    data.write_text(episode_line(step()))
+    cfg = small_config(tmp_path, train={key: value})
+    code = run_cli(["train", "--data", str(data), "--config", cfg,
+                    "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -454,6 +482,25 @@ def test_missing_input_file_is_validation_error(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert missing in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("--config", "[]"),
+    ("--config", '{"train": }'),
+    ("--ckpt", '{"schema_version": 2,'),
+    ("--resume", "{bad"),
+], ids=["config_list", "config_bad_json", "ckpt_bad_json", "resume_bad_json"])
+def test_unparsable_input_file_names_path(tmp_path, capsys, flag, content):
+    data = tmp_path / "data.jsonl"
+    data.write_text(episode_line(step()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    command = "diagnose" if flag == "--ckpt" else "train"
+    assert run_cli([command, "--data", str(data), flag, str(bad),
+                    "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(bad) in err and "Traceback" not in err
 
 
 def test_unwritable_output_is_runtime_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -37,6 +38,10 @@ def test_train_config_validation():
         trainer.TrainConfig(warmup=100, steps=50)
     with pytest.raises(ValueError):
         trainer.TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="eval_interval"):
+        trainer.TrainConfig(eval_interval=0)
+    with pytest.raises(ValueError, match="ckpt_interval"):
+        trainer.TrainConfig(ckpt_interval=-1)
 
 
 def test_adamw_zero_grad_step_only_decays():
@@ -110,12 +115,17 @@ def test_train_writes_outputs(tmp_path):
     assert (out / "ckpt_best.json").exists()
 
 
+def assert_same_run_outputs(dir_a, dir_b):
+    for name in ("metrics.csv", "ckpt_final.json", "ckpt_best.json"):
+        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+
 def test_resume_bitwise_identical(tmp_path):
     ds = tiny_dataset()
     hc, tc_full = tiny_configs(steps=40, warmup=5, eval_interval=10,
                                ckpt_interval=20)
     out_a = tmp_path / "full"
-    pa, _, _ = trainer.train(ds, hc, tc_full, out_dir=str(out_a))
+    pa, ma, best_a = trainer.train(ds, hc, tc_full, out_dir=str(out_a))
 
     out_b = tmp_path / "twophase"
     trainer.train(ds, hc, tc_full, out_dir=str(out_b))
@@ -123,13 +133,51 @@ def test_resume_bitwise_identical(tmp_path):
                              resume=str(out_b / "ckpt_20.json"))
     for k in pa:
         assert np.array_equal(pa[k].value, pb[k].value)
-    assert (out_b / "metrics.csv").read_bytes() == \
-        (out_a / "metrics.csv").read_bytes()
+    assert_same_run_outputs(out_a, out_b)
+
+    # the checkpoint is the whole resume state: an empty directory will do,
+    # and the run returns the rows logged before the checkpoint too
+    out_c = tmp_path / "empty"
+    _, mc, best_c = trainer.train(ds, hc, tc_full, out_dir=str(out_c),
+                                  resume=str(out_a / "ckpt_20.json"))
+    assert mc == ma and best_c == best_a
+    assert_same_run_outputs(out_a, out_c)
+
+
+def test_resume_after_best_eval_keeps_best_params(tmp_path):
+    ds = synthgym.generate(synthgym.default_templates(), 4, seed=0)
+    hc = head.HeadConfig(hidden=16, k_trans=4, k_rot=4, horizon=3)
+    tc = trainer.TrainConfig(seed=4, steps=60, warmup=0, lr=0.02, eval_interval=5,
+                             ckpt_interval=5, batch_size=8)
+    full = tmp_path / "full"
+    _, _, (_, best_step) = trainer.train(ds, hc, tc, out_dir=str(full))
+    assert best_step < 60  # the best parameters are not those resumed from
+    same, empty = tmp_path / "same", tmp_path / "empty"
+    shutil.copytree(full, same)
+    for out in (same, empty):
+        trainer.train(ds, hc, tc, out_dir=str(out),
+                      resume=str(full / "ckpt_60.json"))
+        assert_same_run_outputs(full, out)
+
+
+def test_resume_rewrites_torn_metrics_row(tmp_path):
+    ds = tiny_dataset()
+    hc, tc = tiny_configs(steps=300, eval_interval=100, ckpt_interval=100)
+    full = tmp_path / "full"
+    trainer.train(ds, hc, tc, out_dir=str(full))
+    torn = tmp_path / "torn"
+    shutil.copytree(full, torn)
+    text = (torn / "metrics.csv").read_bytes()
+    # a crash mid-row: the log ends in the "3" of "300,"
+    (torn / "metrics.csv").write_bytes(text[:text.index(b"\n300,") + 2])
+    trainer.train(ds, hc, tc, out_dir=str(torn),
+                  resume=str(torn / "ckpt_200.json"))
+    assert_same_run_outputs(full, torn)
 
 
 def test_metrics_on_disk_before_each_periodic_checkpoint(tmp_path, monkeypatch):
-    # a run killed right after ckpt_<k>.json lands must have logged every row
-    # up to step k, or a resume from that checkpoint loses them
+    # a run killed right after ckpt_<k>.json lands has logged every row up to
+    # step k
     ds = tiny_dataset()
     hc, tc = tiny_configs(steps=30, ckpt_interval=10)
     out = tmp_path / "run"
