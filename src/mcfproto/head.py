@@ -16,6 +16,7 @@ logit is identically [1]).
 import contextlib
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, asdict
 
@@ -341,12 +342,14 @@ def type_mismatch(default, val):
     otherwise what the key takes."""
     if isinstance(default, bool):
         return None if isinstance(val, bool) else "true or false"
-    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    # json.load reads NaN and Infinity, which no key takes
+    number = (isinstance(val, int) and not isinstance(val, bool)
+              or isinstance(val, float) and math.isfinite(val))
     if isinstance(default, int):
         return None if number and isinstance(val, int) else "an integer"
     if default is None:
-        return None if number or val is None else "a number or null"
-    return None if number else "a number"
+        return None if number or val is None else "a finite number or null"
+    return None if number else "a finite number"
 
 
 def load_json_object(path, what):

@@ -82,26 +82,32 @@ def analytic_minimum(sigma, c=GAUSSIAN_C):
 # ---------------------------------------------------------------------------
 
 def _cayley(theta, dim):
-    A = np.zeros((dim, dim))
-    A[np.triu_indices(dim, 1)] = theta
-    A -= A.T
+    """Cayley map of each row of theta, shape (..., n_par) -> (..., d, d)."""
+    A = np.zeros(theta.shape[:-1] + (dim, dim))
+    A[(..., *np.triu_indices(dim, 1))] = theta
+    A -= np.swapaxes(A, -1, -2)
     eye = np.eye(dim)
     return np.linalg.solve(eye - A, eye + A)
 
 
 def _body_grad(R, sigma, c):
     """Gradient of theta -> J(R cayley(theta)) at theta = 0, for i < j:
-    2c (H_ij - H_ji) with M = R^T Sigma R and H = M diag(M)^-1/2."""
-    M = R.T @ sigma @ R
-    H = M / np.sqrt(np.diagonal(M))
-    return 2.0 * c * (H - H.T)[np.triu_indices(len(M), 1)]
+    2c (H_ij - H_ji) with M = R^T Sigma R and H = M diag(M)^-1/2.
+    R may carry leading axes, (..., d, d) -> (..., n_par)."""
+    M = np.swapaxes(R, -1, -2) @ sigma @ R
+    H = M / np.sqrt(np.diagonal(M, axis1=-2, axis2=-1))[..., None, :]
+    return 2.0 * c * (H - np.swapaxes(H, -1, -2))[
+        (..., *np.triu_indices(M.shape[-1], 1))]
 
 
-def _minimize(sigma, c, rng, dim, iters=400, lr=0.05):
-    """Adam in Cayley coordinates, re-centred at the current R every step."""
-    n_par = dim * (dim - 1) // 2
-    R = _cayley(rng.normal(0.0, 0.5, n_par), dim)
-    theta = ad.Param(np.zeros(n_par), "theta")
+def _minimize(sigma, c, theta0, dim, iters=400, lr=0.05):
+    """Adam in Cayley coordinates, re-centred at the current R every step.
+
+    Each row of theta0, shape (restarts, n_par), starts one restart; the
+    restarts share every step but not their values. Returns the stacked
+    R, shape (restarts, d, d), and each one's j_closed_form."""
+    R = _cayley(theta0, dim)
+    theta = ad.Param(np.zeros_like(theta0), "theta")
     cfg = trainer.TrainConfig(steps=iters, warmup=0, lr=lr, weight_decay=0.0)
     opt = trainer.AdamW({"theta": theta}, cfg)
     for t in range(iters):
@@ -109,7 +115,7 @@ def _minimize(sigma, c, rng, dim, iters=400, lr=0.05):
         theta.grad = _body_grad(R, sigma, c)
         opt.step(trainer.cosine_lr(t, cfg))
         R = R @ _cayley(theta.value, dim)
-    return R, j_closed_form(R, sigma, c)
+    return R, np.array([j_closed_form(r, sigma, c) for r in R])
 
 
 def alignment_report(R, sigma, degenerate_gap=1e-6):
@@ -150,13 +156,15 @@ def minimize_over_so(sigma, c=GAUSSIAN_C, restarts=32, seed=0, iters=400):
     dim = sigma.shape[0]
     if dim < 2 or dim > 6:
         raise ValueError("dimension must be in [2, 6]")
-    best = None
-    for r in range(restarts):
-        rng = np.random.Generator(np.random.Philox(key=[seed, r]))
-        R, val = _minimize(sigma, c, rng, dim, iters=iters)
-        if best is None or val < best[1]:
-            best = (R, val)
-    R_star, j_star = best
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    n_par = dim * (dim - 1) // 2
+    theta0 = np.stack([
+        np.random.Generator(np.random.Philox(key=[seed, r])).normal(0.0, 0.5, n_par)
+        for r in range(restarts)])
+    R, vals = _minimize(sigma, c, theta0, dim, iters=iters)
+    best = int(np.argmin(vals))  # a tie goes to the lowest restart
+    R_star, j_star = R[best], float(vals[best])
     target = analytic_minimum(sigma, c)
     report = alignment_report(R_star, sigma)
     converged = j_star <= target * (1.0 + 1e-6) + 1e-9

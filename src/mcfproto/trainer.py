@@ -53,6 +53,8 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.warmup > self.steps:

@@ -292,9 +292,10 @@ def test_config_value_type_checked(tmp_path, capsys, section, key, value):
     (None, "schema_version", 1),
     ("config", "horizon", 7.0),
     ("config", "learn_frame", "true"),
+    ("config", "lambda_ortho", float("nan")),
 ], ids=["no_config", "no_params", "unknown_config_key", "missing_tensor",
         "dict_rot_shape", "ragged_tensor", "schema_1", "float_horizon",
-        "string_learn_frame"])
+        "string_learn_frame", "nan_lambda_ortho"])
 def test_diagnose_rejects_bad_checkpoint(tmp_path, capsys, section, key, value):
     data = tmp_path / "data.jsonl"
     data.write_text(episode_line(step()))
@@ -419,6 +420,28 @@ def test_train_rejects_out_of_range_interval(tmp_path, capsys, key, value):
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("command, section, key, values", [
+    ("train", "train", "lr", {"lr": float("nan")}),
+    ("train", "head", "lambda_ortho", {"lambda_ortho": float("inf")}),
+    ("gen-data", "gym", "noise_scale", {"noise_scale": float("nan")}),
+    ("train", "train", "steps", {"steps": 0, "warmup": 0}),
+], ids=["nan_lr", "infinite_lambda_ortho", "nan_noise_scale", "zero_steps"])
+def test_non_finite_or_empty_run_config_rejected(tmp_path, capsys, command,
+                                                 section, key, values):
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    cfg = small_config(tmp_path, **{section: values})
+    data = tmp_path / "data.jsonl"
+    if command == "train":
+        data.write_text(episode_line(step()))
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "run")]
+    else:
+        argv = ["gen-data", "--out", str(data)]
+    assert run_cli(argv + ["--config", cfg]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not list(tmp_path.glob("run/*")) + list(tmp_path.glob("*.stats.json"))
 
 
 @pytest.mark.parametrize("key, value", [

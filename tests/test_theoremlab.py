@@ -146,6 +146,29 @@ def test_minimize_rejects_bad_dim():
         tl.minimize_over_so(np.eye(7))
 
 
+def test_minimize_rejects_no_restarts():
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        tl.minimize_over_so(SIGMA_DIAG, restarts=0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_restart_axis_matches_per_matrix_calls(dim):
+    # restarts stacked on a leading axis do not interact: every row is
+    # bitwise what the same restart gives alone
+    rng = np.random.default_rng(20 + dim)
+    sigma = tl.random_spd(rng, dim)
+    thetas = rng.normal(0.0, 0.5, (4, dim * (dim - 1) // 2))
+    Rs = tl._cayley(thetas, dim)
+    assert np.array_equal(Rs, [tl._cayley(t, dim) for t in thetas])
+    assert np.array_equal(tl._body_grad(Rs, sigma, tl.GAUSSIAN_C),
+                          [tl._body_grad(R, sigma, tl.GAUSSIAN_C) for R in Rs])
+    R, j = tl._minimize(sigma, tl.GAUSSIAN_C, thetas, dim)
+    for row, theta0 in enumerate(thetas):
+        R_one, j_one = tl._minimize(sigma, tl.GAUSSIAN_C, theta0[None], dim)
+        assert np.array_equal(R[row], R_one[0])
+        assert j[row] == j_one[0]
+
+
 def test_alignment_report_degenerate_eigenspace():
     # isotropic sigma: every rotation is an eigenframe, angles must be ~0
     rep = tl.alignment_report(so3.random_rotation(np.random.default_rng(8)),

@@ -36,6 +36,8 @@ def test_cosine_lr_endpoints():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         trainer.TrainConfig(warmup=100, steps=50)
+    with pytest.raises(ValueError, match="steps must be"):
+        trainer.TrainConfig(steps=0, warmup=0)
     with pytest.raises(ValueError):
         trainer.TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="eval_interval"):
