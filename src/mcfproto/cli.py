@@ -120,9 +120,6 @@ def cmd_gen_data(args):
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
     synthgym.save_jsonl(dataset, args.out)
-    stats = synthgym.world_vs_canonical_stats(dataset)
-    with atomic_open(args.out + ".stats.json") as f:
-        f.write(json.dumps(_to_jsonable(stats), indent=2))
     write_resolved(cfg, out_dir, name=os.path.basename(args.out) + ".config.json")
     print(f"wrote {len(dataset.episodes)} episodes to {args.out}")
     return EXIT_OK
@@ -211,10 +208,8 @@ def cmd_diagnose(args):
              for task, span in spans.items()},
             min_displacement=dcfg["min_displacement"])
 
-    conc = {
-        "world": diagnostics.concentration(by_task(actions[:, :6])),
-        "learned_local": diagnostics.concentration(by_task(local)),
-    }
+    conc = {**synthgym.world_vs_canonical_stats(ordered),
+            "learned_local": diagnostics.concentration(by_task(local))}
     compat = {
         "learned": compat_of(outputs["frames"]),
         "ground_truth": compat_of(scene_frames),

@@ -342,11 +342,12 @@ def type_mismatch(default, val):
     otherwise what the key takes."""
     if isinstance(default, bool):
         return None if isinstance(val, bool) else "true or false"
-    # json.load reads NaN and Infinity, which no key takes
-    number = (isinstance(val, int) and not isinstance(val, bool)
-              or isinstance(val, float) and math.isfinite(val))
     if isinstance(default, int):
-        return None if number and isinstance(val, int) else "an integer"
+        return None if type(val) is int else "an integer"  # not a bool
+    try:  # json.load reads NaN, Infinity and integers past the float range
+        number = not isinstance(val, bool) and math.isfinite(val)
+    except (TypeError, OverflowError):
+        number = False
     if default is None:
         return None if number or val is None else "a finite number or null"
     return None if number else "a finite number"

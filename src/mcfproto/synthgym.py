@@ -133,10 +133,8 @@ def default_templates(max_step=DEFAULT_MAX_STEP):
     ]
 
 
-def _bounded_noise(rng, shape, scale):
-    if scale == 0.0:
-        return np.zeros(shape)
-    noise = rng.normal(0.0, scale / 3.0, shape)
+def _bounded_noise(noise, scale):
+    """Noise rows (..., 3) pulled back onto the ball of radius `scale`."""
     norms = np.linalg.norm(noise, axis=-1, keepdims=True)
     over = norms > scale
     return np.where(over, noise * (scale / np.maximum(norms, 1e-300)), noise)
@@ -156,33 +154,41 @@ def generate(templates, episodes_per_task, noise_scale=None, seed=0,
         noise_scale = DEFAULT_NOISE_FRAC * max_step
     task_names = [t.name for t in templates]
     episodes = []
-    n_tasks = len(templates)
+    n_eps = episodes_per_task
     for task_idx, template in enumerate(templates):
         ct, cr, grip = template.canonical_rollout()
         t_total = len(grip)
-        progress = (np.arange(t_total) / max(t_total - 1, 1))[:, None]
-        onehot = np.zeros((t_total, n_tasks))
-        onehot[:, task_idx] = 1.0
-        rngs = [_episode_rng(seed, task_idx * episodes_per_task + e)
-                for e in range(episodes_per_task)]
-        if frame_randomize:  # one draw per stream, one batched transform
-            draws = [so3.draw_rotations(rng, 1) for rng in rngs]
+
+        def join(*parts):  # broadcast (E | 1, T | 1, width) parts to (E, T, ·)
+            return np.concatenate([np.broadcast_to(
+                p, (n_eps, t_total, p.shape[-1])) for p in parts], axis=2)
+
+        # each episode's stream draws its rotation, its translation and
+        # rotation noise, then its offset noise; the arithmetic runs per task
+        draws, noise, offset_noise = [], [], []
+        for e in range(n_eps):
+            rng = _episode_rng(seed, task_idx * n_eps + e)
+            if frame_randomize:
+                draws.append(so3.draw_rotations(rng, 1))
+            noise.append([rng.normal(0.0, noise_scale / 3.0, ct.shape)
+                          if noise_scale != 0.0 else np.zeros(ct.shape)
+                          for _ in range(2)])
+            offset_noise.append(rng.normal(0.0, 0.01, 3))
+        if frame_randomize:
             qs = so3.rotations_from_draws(*map(np.concatenate, zip(*draws)))
         else:
-            qs = np.tile(np.eye(3), (episodes_per_task, 1, 1))
-        for rng, q in zip(rngs, qs):
-            world_t = ct @ q.T + _bounded_noise(rng, ct.shape, noise_scale)
-            world_r = cr @ q.T + _bounded_noise(rng, cr.shape, noise_scale)
-            actions = np.concatenate([world_t, world_r, grip[:, None]], axis=1)
-            offset = q @ (np.asarray(template.stages[0].trans_dir) * 0.2)
-            offset = offset + rng.normal(0.0, 0.01, 3)
-            obs = np.concatenate([
-                np.tile(so3.encode_6d(q), (t_total, 1)),
-                progress,
-                onehot,
-                np.tile(offset, (t_total, 1)),
-            ], axis=1)
-            episodes.append(Episode(template.name, task_idx, q, obs, actions))
+            qs = np.tile(np.eye(3), (n_eps, 1, 1))
+        noise = _bounded_noise(np.array(noise), noise_scale)
+        q_t = qs.transpose(0, 2, 1)
+        actions = join(ct @ q_t + noise[:, 0], cr @ q_t + noise[:, 1], grip[:, None])
+        offset = qs @ (np.asarray(template.stages[0].trans_dir) * 0.2)
+        step_cols = np.zeros((t_total, 1 + len(templates)))  # progress, one-hot
+        step_cols[:, 0] = np.arange(t_total) / max(t_total - 1, 1)
+        step_cols[:, 1 + task_idx] = 1.0
+        obs = join(so3.encode_6d(qs)[:, None], step_cols,
+                   (offset + np.array(offset_noise))[:, None])
+        episodes += [Episode(template.name, task_idx, *arrays)
+                     for arrays in zip(qs, obs, actions)]
     return Dataset(episodes, task_names, noise_scale, seed)
 
 
@@ -281,25 +287,17 @@ def load_jsonl(path):
 
 
 def world_vs_canonical_stats(dataset):
-    """Concentration of world actions vs ground-truth-canonical actions.
-
-    Applies Q^T blockwise to recover canonical actions; the canonical
-    statistics should dominate (lower effective rank, higher top-3 explained
-    variance) whenever frame randomization is active.
-    """
+    """Concentration statistics of the world actions and of the canonical
+    ones, Q^T a per step and block: how compact the ground-truth frame makes
+    the actions."""
     from . import diagnostics
 
-    world = {}
-    canonical = {}
+    frames = {"world": {}, "canonical": {}}
     for ep in dataset.episodes:
         w6 = ep.actions[:, :6]
-        c6 = np.concatenate([ep.actions[:, :3] @ ep.q, ep.actions[:, 3:6] @ ep.q],
-                            axis=1)
-        world.setdefault(ep.task, []).append(w6)
-        canonical.setdefault(ep.task, []).append(c6)
-    world = {k: np.concatenate(v) for k, v in world.items()}
-    canonical = {k: np.concatenate(v) for k, v in canonical.items()}
-    return {
-        "world": diagnostics.concentration(world),
-        "canonical": diagnostics.concentration(canonical),
-    }
+        frames["world"].setdefault(ep.task, []).append(w6)
+        frames["canonical"].setdefault(ep.task, []).append(
+            (w6.reshape(-1, 2, 3) @ ep.q).reshape(-1, 6))
+    return {name: diagnostics.concentration(
+                {task: np.concatenate(v) for task, v in by_task.items()})
+            for name, by_task in frames.items()}

@@ -245,11 +245,6 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
             raise ValueError(f"checkpoint {resume} holds no optimizer state; resume "
                              "from ckpt_final.json or a periodic ckpt_<step>.json")
         opt = AdamW(params, tc)
-        try:
-            opt.load_state(extra["optimizer"])
-            best_snapshot = decode_f8(extra.get("best_params"), params, "best_params")
-        except ValueError as exc:
-            raise ValueError(f"checkpoint {resume}: {exc}") from exc
         start_step = extra.get("step")
         best_val = extra.get("best_val", np.inf)
         best_step = extra.get("best_step", -1)
@@ -267,6 +262,14 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
                 got = reprlib.repr(extra[key]) if key in extra else "nothing"
                 raise ValueError(f"checkpoint {resume}: {key} must be {what}, "
                                  f"got {got}")
+        try:
+            opt.load_state(extra["optimizer"])
+            best_snapshot = (  # unless they are this checkpoint's own params
+                decode_f8(extra.get("best_params"), params, "best_params")
+                if "best_params" in extra or best_step != start_step
+                else {k: p.value.copy() for k, p in params.items()})
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {resume}: {exc}") from exc
 
     def write_metrics():
         """metrics.csv, whole: a crash leaves the last complete log."""
@@ -281,9 +284,11 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
         write_metrics()
 
     def resume_state(step):
-        return {"step": step, "optimizer": opt.state(),
-                "best_val": best_val, "best_step": best_step, "metrics": rows,
-                "best_params": encode_f8(best_snapshot.values())}
+        state = {"step": step, "optimizer": opt.state(), "best_val": best_val,
+                 "best_step": best_step, "metrics": rows}
+        if best_step != step:  # else the best parameters are `params`
+            state["best_params"] = encode_f8(best_snapshot.values())
+        return state
 
     n_chunks = len(tr_obs)
     last_ckpt = None    # ckpt_<steps>.json, when this call writes it

@@ -62,7 +62,7 @@ def test_gen_data_writes_dataset_and_config(tmp_path):
                     "--seed", "5"])
     assert code == cli.EXIT_OK
     assert out.exists()
-    assert (tmp_path / "data.jsonl.stats.json").exists()
+    assert not (tmp_path / "data.jsonl.stats.json").exists()
     resolved = json.loads((tmp_path / "data.jsonl.config.json").read_text())
     assert resolved["gym"]["episodes_per_task"] == 3
     assert resolved["gym"]["seed"] == 5
@@ -99,7 +99,14 @@ def test_train_and_diagnose_pipeline(tmp_path):
                  "axis_timeline.csv", "report.json"):
         assert (diag_dir / name).exists()
     report = json.loads((diag_dir / "report.json").read_text())
-    assert set(report["concentration"]) == {"world", "learned_local"}
+    conc = report["concentration"]
+    assert list(conc) == ["world", "canonical", "learned_local"]
+    with open(diag_dir / "concentration.csv") as f:
+        csv_frames = [row["frame"] for row in csv.DictReader(f)]
+    assert list(dict.fromkeys(csv_frames)) == list(conc)
+    # the ground-truth frame compacts the actions
+    assert (conc["canonical"]["summary"]["effective_rank"]["mean"]
+            < conc["world"]["summary"]["effective_rank"]["mean"])
     assert report["compatibility"]["random_mc_baseline_deg"] == pytest.approx(
         31.9, abs=1.0)
     for frames in ("learned", "ground_truth", "random"):
@@ -112,7 +119,7 @@ def per_episode_diagnose(data, ckpt, out_dir, time_bins):
     ds = synthgym.load_jsonl(data)
     params, hc, _ = head.load_checkpoint(ckpt)
     rng = np.random.Generator(np.random.Philox(key=[0xD1A6, 0]))
-    world, local, gating = {}, {}, {}
+    world, canonical, local, gating = {}, {}, {}, {}
     pairs = {"learned": {}, "ground_truth": {}, "random": {}}
     counts = {task: np.zeros((2, time_bins, 3)) for task in ds.task_names}
     for ep in ds.episodes:
@@ -120,6 +127,9 @@ def per_episode_diagnose(data, ckpt, out_dir, time_bins):
         frames = out.frames.value[:, 0]
         loc = diagnostics.local_actions(ep.actions, frames)
         world.setdefault(ep.task, []).append(ep.actions[:, :6])
+        canonical.setdefault(ep.task, []).append(  # Q^T a, step by step
+            np.array([np.concatenate([ep.q.T @ a[:3], ep.q.T @ a[3:6]])
+                      for a in ep.actions]))
         local.setdefault(ep.task, []).append(loc)
         gating.setdefault(ep.task, []).append(
             (out.gating_trans.value[:, 0], out.gating_rot.value[:, 0]))
@@ -136,6 +146,8 @@ def per_episode_diagnose(data, ckpt, out_dir, time_bins):
     cli._write_concentration_csv(out_dir / "concentration.csv", {
         "world": diagnostics.concentration(
             {t: np.concatenate(v) for t, v in world.items()}),
+        "canonical": diagnostics.concentration(
+            {t: np.concatenate(v) for t, v in canonical.items()}),
         "learned_local": diagnostics.concentration(
             {t: np.concatenate(v) for t, v in local.items()}),
     })
@@ -293,9 +305,10 @@ def test_config_value_type_checked(tmp_path, capsys, section, key, value):
     ("config", "horizon", 7.0),
     ("config", "learn_frame", "true"),
     ("config", "lambda_ortho", float("nan")),
+    ("config", "beta", 10 ** 400),
 ], ids=["no_config", "no_params", "unknown_config_key", "missing_tensor",
         "dict_rot_shape", "ragged_tensor", "schema_1", "float_horizon",
-        "string_learn_frame", "nan_lambda_ortho"])
+        "string_learn_frame", "nan_lambda_ortho", "huge_int_beta"])
 def test_diagnose_rejects_bad_checkpoint(tmp_path, capsys, section, key, value):
     data = tmp_path / "data.jsonl"
     data.write_text(episode_line(step()))
@@ -399,10 +412,16 @@ def test_resume_rejects_malformed_counters(tmp_path, capsys, key, value):
     capsys.readouterr()
     ckpt = tmp_path / "run" / "ckpt_5.json"
     doc = json.loads(ckpt.read_text())
+    extra = doc["extra"]
+    if key == "best_params":
+        # ckpt_5.json's best step is its own, so it holds no best_params;
+        # a best step before it needs them
+        assert extra["best_step"] == 5 and "best_params" not in extra
+        extra["best_step"] = 0
     if value is MISSING:
-        del doc["extra"][key]
+        extra.pop(key, None)
     else:
-        doc["extra"][key] = value
+        extra[key] = value
     ckpt.write_text(json.dumps(doc))
     assert run_cli(train + ["--resume", str(ckpt)]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
@@ -427,7 +446,9 @@ def test_train_rejects_out_of_range_interval(tmp_path, capsys, key, value):
     ("train", "head", "lambda_ortho", {"lambda_ortho": float("inf")}),
     ("gen-data", "gym", "noise_scale", {"noise_scale": float("nan")}),
     ("train", "train", "steps", {"steps": 0, "warmup": 0}),
-], ids=["nan_lr", "infinite_lambda_ortho", "nan_noise_scale", "zero_steps"])
+    ("train", "train", "lr", {"lr": 10 ** 400}),
+], ids=["nan_lr", "infinite_lambda_ortho", "nan_noise_scale", "zero_steps",
+        "huge_int_lr"])
 def test_non_finite_or_empty_run_config_rejected(tmp_path, capsys, command,
                                                  section, key, values):
     # json.dumps writes NaN and Infinity, which json.load reads back
@@ -441,7 +462,9 @@ def test_non_finite_or_empty_run_config_rejected(tmp_path, capsys, command,
     assert run_cli(argv + ["--config", cfg]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
-    assert not list(tmp_path.glob("run/*")) + list(tmp_path.glob("*.stats.json"))
+    assert not list(tmp_path.glob("run/*"))
+    if command == "gen-data":
+        assert not data.exists()
 
 
 @pytest.mark.parametrize("key, value", [

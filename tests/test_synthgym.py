@@ -34,8 +34,20 @@ def test_generate_deterministic():
     assert not np.array_equal(a.episodes[0].actions, c.episodes[0].actions)
 
 
-def reference_generate(templates, episodes_per_task, noise_scale, seed):
-    """generate() with one random_rotation call per episode."""
+def reference_noise(rng, shape, scale):
+    """One episode's bounded noise, drawn and bounded alone."""
+    if scale == 0.0:
+        return np.zeros(shape)
+    noise = rng.normal(0.0, scale / 3.0, shape)
+    norms = np.linalg.norm(noise, axis=-1, keepdims=True)
+    over = norms > scale
+    return np.where(over, noise * (scale / np.maximum(norms, 1e-300)), noise)
+
+
+def reference_generate(templates, episodes_per_task, noise_scale, seed,
+                       frame_randomize):
+    """generate() one episode at a time: one random_rotation call, one noise
+    draw per block and one offset per episode."""
     episodes = []
     for task_idx, template in enumerate(templates):
         ct, cr, grip = template.canonical_rollout()
@@ -45,9 +57,9 @@ def reference_generate(templates, episodes_per_task, noise_scale, seed):
         onehot[:, task_idx] = 1.0
         for e in range(episodes_per_task):
             rng = synthgym._episode_rng(seed, task_idx * episodes_per_task + e)
-            q = so3.random_rotation(rng)
-            world_t = ct @ q.T + synthgym._bounded_noise(rng, ct.shape, noise_scale)
-            world_r = cr @ q.T + synthgym._bounded_noise(rng, cr.shape, noise_scale)
+            q = so3.random_rotation(rng) if frame_randomize else np.eye(3)
+            world_t = ct @ q.T + reference_noise(rng, ct.shape, noise_scale)
+            world_r = cr @ q.T + reference_noise(rng, cr.shape, noise_scale)
             actions = np.concatenate([world_t, world_r, grip[:, None]], axis=1)
             offset = q @ (np.asarray(template.stages[0].trans_dir) * 0.2)
             offset = offset + rng.normal(0.0, 0.01, 3)
@@ -57,15 +69,21 @@ def reference_generate(templates, episodes_per_task, noise_scale, seed):
     return episodes
 
 
-def test_generate_matches_per_episode_rotations():
+@pytest.mark.parametrize("noise_scale, frame_randomize", [
+    (None, True), (0.001, True), (0.0, True), (None, False),
+], ids=["default_noise", "noise_0.001", "no_noise", "no_randomize"])
+def test_generate_matches_per_episode_reference(noise_scale, frame_randomize):
     templates = synthgym.default_templates()
-    ds = synthgym.generate(templates, 7, noise_scale=0.001, seed=11)
-    ref = reference_generate(templates, 7, 0.001, 11)
-    assert len(ds.episodes) == len(ref)
+    ds = synthgym.generate(templates, 7, noise_scale=noise_scale, seed=11,
+                           frame_randomize=frame_randomize)
+    ref = reference_generate(templates, 7, ds.noise_scale, 11, frame_randomize)
+    assert len(ds.episodes) == len(ref) == 7 * len(templates)
     for ep, (q, obs, actions) in zip(ds.episodes, ref):
         assert np.array_equal(ep.q, q)
         assert np.array_equal(ep.obs, obs)
         assert np.array_equal(ep.actions, actions)
+        # the same zeros too: -0.0 prints differently in the JSONL
+        assert np.array_equal(np.signbit(ep.actions), np.signbit(actions))
 
 
 def test_single_direction_identity_frame():

@@ -146,20 +146,41 @@ def test_resume_bitwise_identical(tmp_path):
     assert_same_run_outputs(out_a, out_c)
 
 
-def test_resume_after_best_eval_keeps_best_params(tmp_path):
+def best_before_end_run(full):
+    """A 60-step run into `full` whose best step comes before its last, with
+    a checkpoint at every eval: (ds, hc, tc, best_step)."""
     ds = synthgym.generate(synthgym.default_templates(), 4, seed=0)
     hc = head.HeadConfig(hidden=16, k_trans=4, k_rot=4, horizon=3)
     tc = trainer.TrainConfig(seed=4, steps=60, warmup=0, lr=0.02, eval_interval=5,
                              ckpt_interval=5, batch_size=8)
-    full = tmp_path / "full"
     _, _, (_, best_step) = trainer.train(ds, hc, tc, out_dir=str(full))
-    assert best_step < 60  # the best parameters are not those resumed from
+    assert best_step < 60
+    return ds, hc, tc, best_step
+
+
+def test_resume_after_best_eval_keeps_best_params(tmp_path):
+    full = tmp_path / "full"
+    # the best parameters are not those resumed from
+    ds, hc, tc, _ = best_before_end_run(full)
     same, empty = tmp_path / "same", tmp_path / "empty"
     shutil.copytree(full, same)
     for out in (same, empty):
         trainer.train(ds, hc, tc, out_dir=str(out),
                       resume=str(full / "ckpt_60.json"))
         assert_same_run_outputs(full, out)
+
+
+def test_best_step_checkpoint_omits_best_params(tmp_path):
+    full = tmp_path / "full"
+    ds, hc, tc, best_step = best_before_end_run(full)
+    for k in range(5, 65, 5):
+        extra = json.loads((full / f"ckpt_{k}.json").read_text())["extra"]
+        assert ("best_params" in extra) == (extra["best_step"] != k), k
+    # the best parameters of the whole run are the resumed checkpoint's own
+    empty = tmp_path / "empty"
+    trainer.train(ds, hc, tc, out_dir=str(empty),
+                  resume=str(full / f"ckpt_{best_step}.json"))
+    assert_same_run_outputs(full, empty)
 
 
 def test_resume_rewrites_torn_metrics_row(tmp_path):
