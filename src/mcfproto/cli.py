@@ -17,8 +17,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import diagnostics, so3, synthgym, theoremlab, trainer
-from .head import (HeadConfig, atomic_open, load_checkpoint, load_json_object,
-                   type_mismatch)
+from .head import (HeadConfig, atomic_open, check_config, load_checkpoint,
+                   load_json_object)
 from .trainer import TrainConfig
 
 EXIT_OK = 0
@@ -51,11 +51,13 @@ def default_config():
     }
 
 
-def load_config(path):
+def load_config(path, overrides=None):
+    """The default config updated from the JSON file `path`, if any, and then
+    from `overrides`, {"section.key": value} with None for a flag not given.
+    Raises ValueError naming the first key whose value is not allowed."""
     merged = default_config()
-    if path is None:
-        return merged
-    for section, values in load_json_object(path, "config").items():
+    doc = {} if path is None else load_json_object(path, "config")
+    for section, values in doc.items():
         if section not in merged:
             raise ConfigError(f"unknown config section: {section!r}")
         if not isinstance(values, dict):
@@ -63,26 +65,14 @@ def load_config(path):
         for key, val in values.items():
             if key not in merged[section]:
                 raise ConfigError(f"unknown config key: {section}.{key}")
-            expected = type_mismatch(merged[section][key], val)
-            if expected:
-                raise ConfigError(f"config key {section}.{key} must be "
-                                  f"{expected}, got {json.dumps(val)}")
             merged[section][key] = val
-    diag = merged["diagnostics"]  # min_displacement may also be null
-    for key, low in (("time_bins", 1), ("random_baseline_samples", 1),
-                     ("min_displacement", 0)):
-        if diag[key] is not None and diag[key] < low:
-            raise ConfigError(f"config key diagnostics.{key} must be at least "
-                              f"{low}, got {json.dumps(diag[key])}")
+    for name, val in (overrides or {}).items():
+        if val is not None:
+            section, key = name.split(".")
+            merged[section][key] = val
+    for section, defaults in default_config().items():
+        check_config(section, merged[section], defaults)
     return merged
-
-
-def head_config_from(cfg):
-    return HeadConfig(**cfg["head"])
-
-
-def train_config_from(cfg):
-    return TrainConfig(**cfg["train"])
 
 
 def write_resolved(cfg, out_dir, name="config.resolved.json"):
@@ -100,23 +90,11 @@ def _float_repr(x):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(args):
-    cfg = load_config(args.config)
-    g = cfg["gym"]
-    if args.episodes is not None:
-        g["episodes_per_task"] = args.episodes
-    if args.noise is not None:
-        g["noise_scale"] = args.noise
-    if args.seed is not None:
-        g["seed"] = args.seed
-    templates = synthgym.default_templates(max_step=g["max_step"])
-    dataset = synthgym.generate(
-        templates,
-        episodes_per_task=g["episodes_per_task"],
-        noise_scale=g["noise_scale"],
-        seed=g["seed"],
-        frame_randomize=g["frame_randomize"],
-        max_step=g["max_step"],
-    )
+    cfg = load_config(args.config, {"gym.episodes_per_task": args.episodes,
+                                    "gym.noise_scale": args.noise,
+                                    "gym.seed": args.seed})
+    templates = synthgym.default_templates(max_step=cfg["gym"]["max_step"])
+    dataset = synthgym.generate(templates, **cfg["gym"])
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
     synthgym.save_jsonl(dataset, args.out)
@@ -126,12 +104,10 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["train"]["seed"] = args.seed
+    cfg = load_config(args.config, {"train.seed": args.seed})
     dataset = synthgym.load_jsonl(args.data)
-    hc = head_config_from(cfg)
-    tc = train_config_from(cfg)
+    hc = HeadConfig(**cfg["head"])
+    tc = TrainConfig(**cfg["train"])
     if dataset.obs_dim != hc.obs_dim:
         raise ConfigError(
             f"dataset obs dim {dataset.obs_dim} != head.obs_dim {hc.obs_dim}"
@@ -146,12 +122,11 @@ def cmd_train(args):
 def cmd_ablate(args):
     cfg = load_config(args.config)
     dataset = synthgym.load_jsonl(args.data)
-    hc = head_config_from(cfg)
-    tc = train_config_from(cfg)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    hc = HeadConfig(**cfg["head"])
+    tc = TrainConfig(**cfg["train"])
     write_resolved(cfg, args.out)
     out_csv = os.path.join(args.out, "ablation.csv")
-    results = trainer.ablation_suite(dataset, hc, tc, seeds=seeds,
+    results = trainer.ablation_suite(dataset, hc, tc, seeds=args.seeds,
                                      out_path=out_csv)
     failed = [r["row"] for r in results if r["mean"] is None]
     for r in results:
@@ -242,11 +217,7 @@ def cmd_diagnose(args):
 
 def cmd_verify_theorem(args):
     if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_VALIDATION
-    if not 2 <= args.dim <= 6:
-        print("error: --dim must be in [2, 6]", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError("--trials must be at least 1")
     result = theoremlab.verify(dim=args.dim, trials=args.trials, seed=args.seed)
     for c in result["checks"]:
         print(
@@ -333,6 +304,14 @@ def _write_timeline_csv(path, timelines):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _seed_list(text):
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mcfproto",
@@ -362,7 +341,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--config")
     p.add_argument("--out", required=True)
-    p.add_argument("--seeds", default="0,1,2")
+    p.add_argument("--seeds", type=_seed_list, default="0,1,2")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("diagnose", help="run diagnostics on a checkpoint")
@@ -374,7 +353,7 @@ def build_parser():
 
     p = sub.add_parser("verify-theorem",
                        help="verify the eigenframe-optimality proposition")
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=int, default=3, choices=range(2, 7))
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -392,7 +371,10 @@ def resolve_out(path):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
+        return EXIT_VALIDATION if exc.code else EXIT_OK
     if args.print_config:
         print(json.dumps(default_config(), indent=2))
         return EXIT_OK

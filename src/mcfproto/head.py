@@ -18,7 +18,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -31,6 +31,21 @@ CHECKPOINT_SCHEMA = 2
 
 # Width of an action: translation in 0-2, rotation in 3-5, gripper in 6.
 ACTION_DIM = 7
+
+# The interval each bounded config value must lie in, by "section.key"; the
+# other keys are checked for their type only (see config_error).
+BOUNDS = {
+    **dict.fromkeys(("gym.episodes_per_task", "head.obs_dim", "head.hidden", "head.d",
+                     "head.k_trans", "head.k_rot", "head.horizon", "train.steps",
+                     "train.batch_size", "train.eval_interval", "diagnostics.time_bins",
+                     "diagnostics.random_baseline_samples"), "[1, inf)"),
+    **dict.fromkeys(("gym.noise_scale", "head.lambda_ortho", "head.lambda_smooth",
+                     "train.warmup", "train.weight_decay", "train.weight_decay_scale",
+                     "train.ckpt_interval", "diagnostics.min_displacement"),
+                    "[0, inf)"),
+    **dict.fromkeys(("gym.max_step", "head.beta", "train.lr", "train.eps"), "(0, inf)"),
+    **dict.fromkeys(("train.beta1", "train.beta2", "train.val_fraction"), "[0, 1)"),
+}
 
 
 @dataclass
@@ -47,9 +62,7 @@ class HeadConfig:
     learn_frame: bool = True
 
     def __post_init__(self):
-        for name in ("obs_dim", "hidden", "d", "k_trans", "k_rot", "horizon"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        check_config("head", vars(self), {f.name: f.default for f in fields(self)})
 
 
 @dataclass
@@ -337,20 +350,37 @@ def save_checkpoint(path, params, config, extra=None):
         _write_json(doc, f)
 
 
-def type_mismatch(default, val):
-    """None when `val` has the JSON type that a key with this default takes;
-    otherwise what the key takes."""
+def config_error(name, default, val):
+    """None when config key `name` ("section.key"), whose default is `default`,
+    may take `val`; otherwise the message that says what it takes."""
     if isinstance(default, bool):
-        return None if isinstance(val, bool) else "true or false"
-    if isinstance(default, int):
-        return None if type(val) is int else "an integer"  # not a bool
-    try:  # json.load reads NaN, Infinity and integers past the float range
-        number = not isinstance(val, bool) and math.isfinite(val)
-    except (TypeError, OverflowError):
-        number = False
-    if default is None:
-        return None if number or val is None else "a finite number or null"
-    return None if number else "a finite number"
+        expected = None if isinstance(val, bool) else "true or false"
+    elif isinstance(default, int):
+        expected = None if type(val) is int else "an integer"  # not a bool
+    else:
+        try:  # json.load reads NaN, Infinity and integers past the float range
+            number = not isinstance(val, bool) and math.isfinite(val)
+        except (TypeError, OverflowError):
+            number = False
+        expected = (None if number or (val is None and default is None)
+                    else "a finite number" + " or null" * (default is None))
+    interval = BOUNDS.get(name)
+    if interval and not expected and val is not None:
+        low, high = map(float, interval[1:-1].split(","))
+        if not ((low < val if interval[0] == "(" else low <= val)
+                and (val < high if interval[-1] == ")" else val <= high)):
+            expected = f"in {interval}"
+    return expected and (f"config key {name} must be {expected}, "
+                         f"got {json.dumps(val, default=repr)}")
+
+
+def check_config(section, values, defaults):
+    """Raise ValueError at the first key of `defaults` whose value in `values`
+    config_error rejects."""
+    for key, default in defaults.items():
+        error = config_error(f"{section}.{key}", default, values[key])
+        if error:
+            raise ValueError(error)
 
 
 def load_json_object(path, what):
@@ -377,11 +407,6 @@ def load_checkpoint(path):
     for key in ("config", "params"):
         if not isinstance(doc.get(key), dict):
             raise invalid(f"no {key!r} object")
-    defaults = asdict(HeadConfig())
-    for key, val in doc["config"].items():
-        expected = key in defaults and type_mismatch(defaults[key], val)
-        if expected:
-            raise invalid(f"config key {key} must be {expected}, got {json.dumps(val)}")
     try:
         config = HeadConfig(**doc["config"])
         params = {k: ad.Param(np.array(v, dtype=float), k)

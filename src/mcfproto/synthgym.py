@@ -84,8 +84,6 @@ class Episode:
 class Dataset:
     episodes: list
     task_names: list
-    noise_scale: float
-    seed: int
 
     @property
     def obs_dim(self):
@@ -189,7 +187,7 @@ def generate(templates, episodes_per_task, noise_scale=None, seed=0,
                    (offset + np.array(offset_noise))[:, None])
         episodes += [Episode(template.name, task_idx, *arrays)
                      for arrays in zip(qs, obs, actions)]
-    return Dataset(episodes, task_names, noise_scale, seed)
+    return Dataset(episodes, task_names)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +281,7 @@ def load_jsonl(path):
         raise
     for ep, q in zip(episodes, qs):
         ep.q = q
-    return Dataset(episodes, task_names, noise_scale=float("nan"), seed=-1)
+    return Dataset(episodes, task_names)
 
 
 def world_vs_canonical_stats(dataset):

@@ -13,7 +13,7 @@ import logging
 import os
 import reprlib
 import shutil
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
@@ -53,16 +53,11 @@ class TrainConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        head_mod.check_config("train", vars(self),
+                              {f.name: f.default for f in fields(self)})
         if self.warmup > self.steps:
-            raise ValueError("warmup must not exceed total steps")
-        if self.eval_interval < 1:
-            raise ValueError("eval_interval must be >= 1")
-        if self.ckpt_interval < 0:
-            raise ValueError("ckpt_interval must be >= 0")
+            raise ValueError("config key train.warmup must be at most train.steps, "
+                             f"got {self.warmup} > {self.steps}")
 
 
 def cosine_lr(step, config):

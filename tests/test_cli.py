@@ -39,6 +39,52 @@ def test_no_command_is_validation_error():
     assert run_cli([]) == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv, code, named", [
+    (["gen-data", "--episodes", "x", "--out", "d.jsonl"], cli.EXIT_VALIDATION,
+     "--episodes"),
+    (["train", "--data", "d.jsonl"], cli.EXIT_VALIDATION, "--out"),
+    (["frobnicate"], cli.EXIT_VALIDATION, "frobnicate"),
+    (["verify-theorem", "--dim", "x"], cli.EXIT_VALIDATION, "--dim"),
+    (["ablate", "--data", "d.jsonl", "--out", "o", "--seeds", "a,b"],
+     cli.EXIT_VALIDATION, "--seeds"),
+    (["train", "--help"], cli.EXIT_OK, "--resume"),
+], ids=["bad_int_flag", "missing_out", "unknown_command", "bad_dim",
+        "bad_seed_list", "help"])
+def test_usage_error_is_validation_error(tmp_path, monkeypatch, capsys, argv,
+                                         code, named):
+    # argparse itself exits 2, the code of a runtime failure
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == code
+    out, err = capsys.readouterr()
+    if code == cli.EXIT_OK:
+        assert named in out and not err
+    else:
+        assert "error: " in err and named in err.splitlines()[-1]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", sorted(head.BOUNDS))
+def test_bounds_table_checks_each_key(name):
+    section, key = name.split(".")
+    defaults = cli.default_config()
+    assert key in defaults.get(section, {}), "a key that no config has"
+    default = defaults[section][key]
+    assert head.config_error(name, default, default) is None
+    number = int if type(default) is int else float
+    interval = head.BOUNDS[name]
+    low, high = map(float, interval[1:-1].split(","))
+    if interval[0] == "(":
+        outside = [low]
+    else:
+        assert head.config_error(name, default, number(low)) is None
+        outside = [low - 1 if number is int else np.nextafter(low, -np.inf)]
+    if np.isfinite(high):
+        outside.append(high if interval[-1] == ")" else np.nextafter(high, np.inf))
+    for val in outside:
+        error = head.config_error(name, default, number(val))
+        assert error and error.startswith(f"config key {name} must be ")
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"train": {"leerning_rate": 1e-3}}))
@@ -429,7 +475,8 @@ def test_resume_rejects_malformed_counters(tmp_path, capsys, key, value):
     assert str(ckpt) in err and key in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("key, value", [("eval_interval", 0), ("ckpt_interval", -1)])
+@pytest.mark.parametrize("key, value", [("eval_interval", 0), ("ckpt_interval", -1),
+                                        ("batch_size", 0), ("warmup", 31)])
 def test_train_rejects_out_of_range_interval(tmp_path, capsys, key, value):
     data = tmp_path / "data.jsonl"
     data.write_text(episode_line(step()))
@@ -438,7 +485,9 @@ def test_train_rejects_out_of_range_interval(tmp_path, capsys, key, value):
                     "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and key in err
+    assert err.startswith("error: ") and f"train.{key}" in err
+    if key == "warmup":  # the one rule between two keys names both
+        assert "train.steps" in err
 
 
 @pytest.mark.parametrize("command, section, key, values", [
@@ -447,21 +496,39 @@ def test_train_rejects_out_of_range_interval(tmp_path, capsys, key, value):
     ("gen-data", "gym", "noise_scale", {"noise_scale": float("nan")}),
     ("train", "train", "steps", {"steps": 0, "warmup": 0}),
     ("train", "train", "lr", {"lr": 10 ** 400}),
+    ("train", "train", "lr", {"lr": -1.0}),
+    ("train", "train", "val_fraction", {"val_fraction": 1.5}),
+    ("train", "train", "warmup", {"warmup": -5}),
+    ("train", "train", "beta1", {"beta1": 1.0}),
+    ("train", "train", "eps", {"eps": 0.0}),
+    ("train", "train", "weight_decay", {"weight_decay": -1.0}),
+    ("train", "head", "beta", {"beta": 0.0}),
+    ("train", "head", "lambda_ortho", {"lambda_ortho": -1.0}),
+    ("gen-data", "gym", "max_step", {"max_step": -0.05}),
+    ("gen-data", "gym", "noise_scale", {"noise_scale": -1.0}),
+    ("gen-data", "gym", "noise_scale", ["--noise", "nan"]),
+    ("gen-data", "gym", "noise_scale", ["--noise", "-1"]),
+    ("gen-data", "gym", "episodes_per_task", ["--episodes", "0"]),
 ], ids=["nan_lr", "infinite_lambda_ortho", "nan_noise_scale", "zero_steps",
-        "huge_int_lr"])
+        "huge_int_lr", "negative_lr", "val_fraction_past_1", "negative_warmup",
+        "beta1_1", "zero_eps", "negative_weight_decay", "zero_beta",
+        "negative_lambda_ortho", "negative_max_step", "negative_noise_scale",
+        "nan_noise_flag", "negative_noise_flag", "zero_episodes_flag"])
 def test_non_finite_or_empty_run_config_rejected(tmp_path, capsys, command,
                                                  section, key, values):
-    # json.dumps writes NaN and Infinity, which json.load reads back
-    cfg = small_config(tmp_path, **{section: values})
+    # json.dumps writes NaN and Infinity, which json.load reads back; a list
+    # of values is flags, which are checked like the keys they set
+    flags = values if isinstance(values, list) else []
+    cfg = small_config(tmp_path, **({} if flags else {section: values}))
     data = tmp_path / "data.jsonl"
     if command == "train":
         data.write_text(episode_line(step()))
         argv = ["train", "--data", str(data), "--out", str(tmp_path / "run")]
     else:
         argv = ["gen-data", "--out", str(data)]
-    assert run_cli(argv + ["--config", cfg]) == cli.EXIT_VALIDATION
+    assert run_cli(argv + ["--config", cfg] + flags) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and key in err
+    assert err.startswith("error: ") and f"{section}.{key}" in err
     assert not list(tmp_path.glob("run/*"))
     if command == "gen-data":
         assert not data.exists()
@@ -471,6 +538,9 @@ def test_non_finite_or_empty_run_config_rejected(tmp_path, capsys, command,
     ("time_bins", 0),
     ("random_baseline_samples", 0),
     ("min_displacement", -0.01),
+    ("time_bins", 2.5),
+    ("random_baseline_samples", True),
+    ("min_displacement", float("inf")),
 ])
 def test_diagnose_rejects_out_of_range_diagnostics_config(tmp_path, capsys, key,
                                                           value):

@@ -76,7 +76,9 @@ def test_generate_matches_per_episode_reference(noise_scale, frame_randomize):
     templates = synthgym.default_templates()
     ds = synthgym.generate(templates, 7, noise_scale=noise_scale, seed=11,
                            frame_randomize=frame_randomize)
-    ref = reference_generate(templates, 7, ds.noise_scale, 11, frame_randomize)
+    if noise_scale is None:
+        noise_scale = synthgym.DEFAULT_NOISE_FRAC * synthgym.DEFAULT_MAX_STEP
+    ref = reference_generate(templates, 7, noise_scale, 11, frame_randomize)
     assert len(ds.episodes) == len(ref) == 7 * len(templates)
     for ep, (q, obs, actions) in zip(ds.episodes, ref):
         assert np.array_equal(ep.q, q)

@@ -276,7 +276,7 @@ def test_resume_rejects_config_mismatch(tmp_path):
 
 
 def test_empty_dataset_rejected():
-    ds = synthgym.Dataset([], [], 0.0, 0)
+    ds = synthgym.Dataset([], [])
     hc, tc = tiny_configs()
     with pytest.raises(ValueError):
         trainer.train(ds, hc, tc)
