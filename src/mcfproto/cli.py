@@ -12,11 +12,11 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
-from . import diagnostics, so3, synthgym, theoremlab, trainer
+from . import diagnostics, synthgym, theoremlab, trainer
 from .head import (HeadConfig, atomic_open, check_config, load_checkpoint,
                    load_json_object)
 from .trainer import TrainConfig
@@ -140,7 +140,6 @@ def cmd_ablate(args):
 
 def cmd_diagnose(args):
     cfg = load_config(args.config)
-    dcfg = cfg["diagnostics"]
     dataset = synthgym.load_jsonl(args.data)
     params, hc, _ = load_checkpoint(args.ckpt)
     if dataset.obs_dim != hc.obs_dim:
@@ -149,68 +148,17 @@ def cmd_diagnose(args):
         )
     os.makedirs(args.out, exist_ok=True)
     write_resolved(cfg, args.out)
-
-    # Every per-step array holds the steps in task order (a stable sort of the
-    # episodes), so that each task's steps are one contiguous slice of it.
-    tasks = dataset.task_names
-    order = sorted(range(len(dataset.episodes)),
-                   key=lambda i: dataset.episodes[i].task_idx)
-    ordered = replace(dataset, episodes=[dataset.episodes[i] for i in order])
-    lengths = [len(ep.obs) for ep in ordered.episodes]
-    step_edges = np.cumsum([0] + lengths)
-    ep_edges = np.searchsorted([ep.task_idx for ep in ordered.episodes],
-                               np.arange(len(tasks) + 1))
-    spans = {task: slice(step_edges[a], step_edges[b])
-             for task, a, b in zip(tasks, ep_edges, ep_edges[1:])}
-    baseline = diagnostics.random_min_angle_mc(n=dcfg["random_baseline_samples"])
-    rng = np.random.Generator(np.random.Philox(key=[0xD1A6, 0]))
-    draws = [so3.draw_rotations(rng, len(ep.obs)) for ep in dataset.episodes]
-    random_frames = so3.rotations_from_draws(
-        *map(np.concatenate, zip(*(draws[i] for i in order))))
-    outputs = diagnostics.predict_step_outputs(
-        params, hc, np.concatenate([ep.obs for ep in ordered.episodes]))
-    actions = np.concatenate([ep.actions for ep in ordered.episodes])
-    local = diagnostics.local_actions(actions, outputs["frames"])
-    local_by_episode = np.split(local, step_edges[1:-1])
-    scene_frames = np.repeat([ep.q for ep in ordered.episodes], lengths, axis=0)
-
-    def by_task(steps):
-        return {task: steps[span] for task, span in spans.items()}
-
-    def compat_of(frames):
-        return diagnostics.compatibility(
-            {task: [(actions[span, :3], frames[span])]
-             for task, span in spans.items()},
-            min_displacement=dcfg["min_displacement"])
-
-    conc = {**synthgym.world_vs_canonical_stats(ordered),
-            "learned_local": diagnostics.concentration(by_task(local))}
-    compat = {
-        "learned": compat_of(outputs["frames"]),
-        "ground_truth": compat_of(scene_frames),
-        "random": compat_of(random_frames),
-        "random_mc_baseline_deg": baseline,
-    }
-    usage = diagnostics.usage_matrix(ordered, [outputs])
-    timelines = {
-        task: diagnostics.axis_timeline(local_by_episode[a:b],
-                                        time_bins=dcfg["time_bins"])
-        for task, a, b in zip(tasks, ep_edges, ep_edges[1:])
-    }
-
-    _write_concentration_csv(os.path.join(args.out, "concentration.csv"), conc)
-    _write_compat_csv(os.path.join(args.out, "compatibility.csv"), compat)
-    _write_usage_csv(os.path.join(args.out, "usage_matrix.csv"), usage)
-    _write_timeline_csv(os.path.join(args.out, "axis_timeline.csv"), timelines)
-    report = {
-        "schema_version": 1,
-        "concentration": conc,
-        "compatibility": compat,
-        "usage_matrix": usage,
-        "axis_timelines": timelines,
-    }
+    report = diagnostics.diagnose(dataset, params, hc, cfg["diagnostics"])
+    _write_concentration_csv(os.path.join(args.out, "concentration.csv"),
+                             report["concentration"])
+    _write_compat_csv(os.path.join(args.out, "compatibility.csv"),
+                      report["compatibility"])
+    _write_usage_csv(os.path.join(args.out, "usage_matrix.csv"),
+                     report["usage_matrix"])
+    _write_timeline_csv(os.path.join(args.out, "axis_timeline.csv"),
+                        report["axis_timelines"])
     with atomic_open(os.path.join(args.out, "report.json")) as f:
-        f.write(json.dumps(_to_jsonable(report), indent=2))
+        f.write(json.dumps(_to_jsonable({"schema_version": 1, **report}), indent=2))
     print(f"diagnostics written to {args.out}")
     return EXIT_OK
 

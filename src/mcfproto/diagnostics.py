@@ -3,13 +3,15 @@
 Four families: task-wise action concentration statistics, axis-motion
 compatibility angles, prototype-usage matrices, and dominant-axis
 timelines. All functions are pure over immutable inputs; the model enters
-only through forward passes on frozen weights.
+only through forward passes on frozen weights. `diagnose` computes all four
+on one layout of a dataset's steps: the episodes in task order, their steps
+concatenated, so each task is one slice (a span) of every per-step array.
 """
 
 import numpy as np
 
 from . import head as head_mod
-from . import kernels, linalg
+from . import kernels, linalg, so3, synthgym
 
 # Rows per head forward: the fastest of 64-2048 on 2 vCPUs with one BLAS
 # thread, and a tape of a few MB.
@@ -81,11 +83,7 @@ def local_actions(actions, frames):
 
     actions: (T, >=6); frames: (T, 3, 3). Norm of each 3-block is preserved.
     """
-    actions = np.asarray(actions, dtype=float)
-    frames = np.asarray(frames, dtype=float)
-    lt = np.einsum("tji,tj->ti", frames, actions[:, :3])
-    lr = np.einsum("tji,tj->ti", frames, actions[:, 3:6])
-    return np.concatenate([lt, lr], axis=1)
+    return (actions[:, :6].reshape(-1, 2, 3) @ frames).reshape(-1, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -101,31 +99,21 @@ def min_axis_angle_deg(directions, frames):
 def compatibility(steps_by_task, min_displacement=None):
     """Angular compatibility between displacement directions and frame axes.
 
-    steps_by_task: {task: list of (trans_actions (T, 3), frames (T, 3, 3))}.
+    steps_by_task: {task: (trans_actions (N, 3), frames (N, 3, 3))}.
     Steps with displacement below min_displacement (default: 10% of the
     dataset-wide median step norm) are filtered; a task with no surviving
     steps is reported as empty rather than zero.
     """
-    all_norms = np.concatenate([
-        np.linalg.norm(np.asarray(t), axis=1)
-        for entries in steps_by_task.values() for t, _ in entries
-    ])
+    norms = {task: np.linalg.norm(trans, axis=1)
+             for task, (trans, _) in steps_by_task.items()}
     if min_displacement is None:
-        min_displacement = 0.1 * float(np.median(all_norms))
+        min_displacement = 0.1 * float(np.median(np.concatenate(list(norms.values()))))
     per_task = {}
-    for task, entries in steps_by_task.items():
-        angles = []
-        for trans, frames in entries:
-            trans = np.asarray(trans, dtype=float)
-            frames = np.asarray(frames, dtype=float)
-            norms = np.linalg.norm(trans, axis=1)
-            keep = norms >= min_displacement
-            if not np.any(keep):
-                continue
-            v = trans[keep] / norms[keep, None]
-            angles.append(min_axis_angle_deg(v, frames[keep]))
-        if angles:
-            angles = np.concatenate(angles)
+    for task, (trans, frames) in steps_by_task.items():
+        keep = norms[task] >= min_displacement
+        if np.any(keep):
+            angles = min_axis_angle_deg(trans[keep] / norms[task][keep, None],
+                                        frames[keep])
             per_task[task] = {
                 "mean_deg": float(angles.mean()),
                 "std_deg": float(angles.std(ddof=0)),
@@ -175,22 +163,15 @@ def predict_step_outputs(params, config, obs):
     return out
 
 
-def usage_matrix(dataset, outputs):
+def usage_matrix(outputs, spans):
     """Mean gating weights per task: {kind: (tasks, K) rows on the simplex}.
 
-    outputs is a list of predict_step_outputs dicts whose concatenated steps
-    follow dataset.episodes in order (one per episode, or one for them all).
+    outputs: predict_step_outputs over the steps; spans: {task: slice of them}.
     """
-    n_tasks = len(dataset.task_names)
-    task = np.repeat([ep.task_idx for ep in dataset.episodes],
-                     [len(ep.obs) for ep in dataset.episodes])
-    counts = np.bincount(task, minlength=n_tasks)[:, None]
-    usage = {"tasks": list(dataset.task_names)}
+    usage = {"tasks": list(spans)}
     for kind in ("trans", "rot"):
-        gating = np.concatenate([out[f"gating_{kind}"] for out in outputs])
-        sums = np.zeros((n_tasks, gating.shape[1]))
-        np.add.at(sums, task, gating)
-        usage[kind] = sums / counts
+        gating = outputs[f"gating_{kind}"]
+        usage[kind] = np.array([gating[span].mean(axis=0) for span in spans.values()])
     return usage
 
 
@@ -200,15 +181,14 @@ def row_entropy(rows):
     return -(p * np.log(p)).sum(axis=-1)
 
 
-def axis_timeline(local_by_episode, time_bins=10):
+def axis_timeline(local, lengths, time_bins=10):
     """Per-time-bin distribution of the dominant local-action axis.
 
-    local_by_episode: list of (T, 6) local actions for one task. Episodes are
-    time-normalized into time_bins bins; returns (time_bins, 3) distributions
-    for the translation and rotation blocks.
+    local: (N, 6) local actions of one task's episodes, one after another;
+    lengths: their step counts. Episodes are time-normalized into time_bins
+    bins; returns (time_bins, 3) distributions for the translation and
+    rotation blocks.
     """
-    lengths = np.array([len(local) for local in local_by_episode])
-    local = np.concatenate(local_by_episode)
     t = np.arange(len(local)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     bins = np.minimum(t * time_bins // np.repeat(lengths, lengths), time_bins - 1)
 
@@ -233,3 +213,64 @@ def dominant_axis_phases(timeline, min_share=0.5):
         else:
             phases.append((int(axis), b, b))
     return phases
+
+
+# ---------------------------------------------------------------------------
+# the diagnose report
+# ---------------------------------------------------------------------------
+
+def diagnose(dataset, params, config, dcfg):
+    """Every diagnostic of the head (params, config) on dataset.
+
+    dcfg: the config's diagnostics section (time_bins, min_displacement,
+    random_baseline_samples). Returns the report: {"concentration",
+    "compatibility", "usage_matrix", "axis_timelines"}.
+    """
+    # a stable sort of the episodes by task makes each task one span
+    tasks = dataset.task_names
+    order = sorted(range(len(dataset.episodes)),
+                   key=lambda i: dataset.episodes[i].task_idx)
+    episodes = [dataset.episodes[i] for i in order]
+    lengths = np.array([len(ep.obs) for ep in episodes])
+    step_edges = np.cumsum([0, *lengths])
+    ep_edges = np.searchsorted([ep.task_idx for ep in episodes],
+                               np.arange(len(tasks) + 1))
+    spans = {task: slice(step_edges[a], step_edges[b])
+             for task, a, b in zip(tasks, ep_edges, ep_edges[1:])}
+
+    baseline = random_min_angle_mc(n=dcfg["random_baseline_samples"])
+    # random frames are drawn episode by episode in the dataset's own order
+    rng = np.random.Generator(np.random.Philox(key=[0xD1A6, 0]))
+    draws = [so3.draw_rotations(rng, len(ep.obs)) for ep in dataset.episodes]
+    random_frames = so3.rotations_from_draws(
+        *map(np.concatenate, zip(*(draws[i] for i in order))))
+    outputs = predict_step_outputs(params, config,
+                                   np.concatenate([ep.obs for ep in episodes]))
+    actions = np.concatenate([ep.actions for ep in episodes])
+    local = local_actions(actions, outputs["frames"])
+    scene_frames = np.repeat([ep.q for ep in episodes], lengths, axis=0)
+
+    def compat_of(frames):
+        return compatibility(
+            {task: (actions[span, :3], frames[span]) for task, span in spans.items()},
+            min_displacement=dcfg["min_displacement"])
+
+    return {
+        "concentration": {
+            **synthgym.world_vs_canonical_stats(actions, scene_frames, spans),
+            "learned_local": concentration(
+                {task: local[span] for task, span in spans.items()}),
+        },
+        "compatibility": {
+            "learned": compat_of(outputs["frames"]),
+            "ground_truth": compat_of(scene_frames),
+            "random": compat_of(random_frames),
+            "random_mc_baseline_deg": baseline,
+        },
+        "usage_matrix": usage_matrix(outputs, spans),
+        "axis_timelines": {
+            task: axis_timeline(local[spans[task]], lengths[a:b],
+                                time_bins=dcfg["time_bins"])
+            for task, a, b in zip(tasks, ep_edges, ep_edges[1:])
+        },
+    }

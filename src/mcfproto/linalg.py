@@ -22,9 +22,6 @@ class SymmetricEigen:
     values: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self):
-        return self.vectors @ np.diag(self.values) @ self.vectors.T
-
 
 def check_finite(a, name="array"):
     a = np.asarray(a, dtype=float)

@@ -9,21 +9,11 @@ det R = +1 within tolerance. The 6D parameterization is two raw 3-vectors
 import numpy as np
 
 GS_EPS = 1e-8
-ROT_TOL = 1e-9
 
 
 class DegenerateParamError(ArithmeticError):
     """Raised when a 6D parameter cannot be decoded (near-zero norm or
     near-collinear a1, a2)."""
-
-
-def is_rotation(R, tol=ROT_TOL):
-    R = np.asarray(R, dtype=float)
-    if R.shape[-2:] != (3, 3):
-        return False
-    err = np.linalg.norm(R.swapaxes(-1, -2) @ R - np.eye(3), axis=(-2, -1))
-    det = np.linalg.det(R)
-    return bool(np.all(err < tol) and np.all(np.abs(det - 1.0) < tol))
 
 
 def gram_schmidt(p):

@@ -284,18 +284,17 @@ def load_jsonl(path):
     return Dataset(episodes, task_names)
 
 
-def world_vs_canonical_stats(dataset):
+def world_vs_canonical_stats(actions, scene_frames, spans):
     """Concentration statistics of the world actions and of the canonical
     ones, Q^T a per step and block: how compact the ground-truth frame makes
-    the actions."""
+    the actions.
+
+    actions: (N, 7) steps; scene_frames: (N, 3, 3), each step's scene
+    rotation Q; spans: {task: slice of the steps}.
+    """
     from . import diagnostics
 
-    frames = {"world": {}, "canonical": {}}
-    for ep in dataset.episodes:
-        w6 = ep.actions[:, :6]
-        frames["world"].setdefault(ep.task, []).append(w6)
-        frames["canonical"].setdefault(ep.task, []).append(
-            (w6.reshape(-1, 2, 3) @ ep.q).reshape(-1, 6))
+    canonical = diagnostics.local_actions(actions, scene_frames)
     return {name: diagnostics.concentration(
-                {task: np.concatenate(v) for task, v in by_task.items()})
-            for name, by_task in frames.items()}
+                {task: steps[span] for task, span in spans.items()})
+            for name, steps in (("world", actions[:, :6]), ("canonical", canonical))}

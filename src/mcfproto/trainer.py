@@ -164,26 +164,26 @@ def decode_f8(text, params, what):
 def build_chunks(episodes, horizon):
     """One chunk per step: obs at t, targets t..t+H-1 (final action repeated
     past the episode end so every step is a valid chunk start)."""
-    obs_list, tgt_list = [], []
+    targets = []
     for ep in episodes:
         t_total = len(ep.actions)
-        padded = np.concatenate(
-            [ep.actions, np.repeat(ep.actions[-1:], horizon, axis=0)], axis=0
-        )
-        for t in range(t_total):
-            obs_list.append(ep.obs[t])
-            tgt_list.append(padded[t:t + horizon])
-    return np.array(obs_list), np.array(tgt_list)
+        steps = np.minimum(np.arange(t_total)[:, None] + np.arange(horizon),
+                           t_total - 1)
+        targets.append(ep.actions[steps])
+    return np.concatenate([ep.obs for ep in episodes]), np.concatenate(targets)
 
 
 def split_dataset(dataset, val_fraction, seed):
-    """Deterministic episode-level train/val split, stratified by task."""
+    """Deterministic episode-level train/val split, stratified by task. Each
+    task with more than one episode holds out round(val_fraction * n) of its
+    n episodes, and at least one unless val_fraction is 0."""
     rng = np.random.Generator(np.random.Philox(key=[seed, 0xDA7A]))
     train_eps, val_eps = [], []
     for task in dataset.task_names:
         eps = [e for e in dataset.episodes if e.task == task]
         perm = rng.permutation(len(eps))
-        n_val = max(1, int(round(val_fraction * len(eps)))) if len(eps) > 1 else 0
+        n_val = (max(1, int(round(val_fraction * len(eps))))
+                 if len(eps) > 1 and val_fraction > 0 else 0)
         for i, j in enumerate(perm):
             (val_eps if i < n_val else train_eps).append(eps[j])
     return train_eps, val_eps

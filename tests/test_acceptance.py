@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mcfproto import autodiff as ad
-from mcfproto import diagnostics, head, so3, synthgym, theoremlab, trainer
+from mcfproto import cli, diagnostics, head, so3, synthgym, theoremlab, trainer
 
 pytestmark = pytest.mark.slow
 
@@ -30,6 +30,7 @@ def report(tag, ok, detail=""):
 TRAIN_EPISODES = 200
 HELD_EPISODES = 40
 TRAIN_STEPS = 20000
+DIAGNOSTICS = cli.default_config()["diagnostics"]
 
 
 @pytest.fixture(scope="module")
@@ -61,30 +62,13 @@ def identity_trained(datasets):
 
 
 @pytest.fixture(scope="module")
-def held_outputs(datasets, trained):
+def held_report(datasets, trained):
     _, held = datasets
-    params, hc = trained["params"], trained["config"]
-    world, local, compat = {}, {}, {}
-    local_by_episode = {}
-    outputs = []
     t0 = time.time()
-    for ep in held.episodes:
-        out = diagnostics.predict_step_outputs(params, hc, ep.obs)
-        outputs.append(out)
-        frames = out["frames"]
-        loc = diagnostics.local_actions(ep.actions, frames)
-        world.setdefault(ep.task, []).append(ep.actions[:, :6])
-        local.setdefault(ep.task, []).append(loc)
-        compat.setdefault(ep.task, []).append((ep.actions[:, :3], frames))
-        local_by_episode.setdefault(ep.task, []).append(loc)
-    return {
-        "world": {k: np.concatenate(v) for k, v in world.items()},
-        "local": {k: np.concatenate(v) for k, v in local.items()},
-        "compat": compat,
-        "local_by_episode": local_by_episode,
-        "outputs": outputs,
-        "diagnose_seconds": time.time() - t0,
-    }
+    report = diagnostics.diagnose(held, trained["params"], trained["config"],
+                                  DIAGNOSTICS)
+    report["diagnose_seconds"] = time.time() - t0
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +169,16 @@ def test_ac4_eigenframe_proposition():
            f"violations {violations}/10000, {elapsed:.0f}s")
 
 
-def test_ac5_local_concentration(trained, held_outputs):
-    cw = diagnostics.concentration(held_outputs["world"])["summary"]
-    cl = diagnostics.concentration(held_outputs["local"])["summary"]
+def test_ac5_local_concentration(trained, held_report):
+    cw = held_report["concentration"]["world"]["summary"]
+    cl = held_report["concentration"]["learned_local"]["summary"]
     er_w = cw["effective_rank"]["mean"]
     er_l = cl["effective_rank"]["mean"]
     ev_w = cw["pca_top3_ev"]["mean"]
     ev_l = cl["pca_top3_ev"]["mean"]
     pd_w = cw["avg_pairwise_distance"]["mean"]
     pd_l = cl["avg_pairwise_distance"]["mean"]
-    total_seconds = trained["train_seconds"] + held_outputs["diagnose_seconds"]
+    total_seconds = trained["train_seconds"] + held_report["diagnose_seconds"]
     ok = (er_l <= 0.95 * er_w and ev_l >= 1.05 * ev_w
           and pd_l <= 0.95 * pd_w and total_seconds < 1800.0)
     report("AC5", ok,
@@ -202,16 +186,13 @@ def test_ac5_local_concentration(trained, held_outputs):
            f"pairwise {pd_w:.4f}->{pd_l:.4f}, train+diagnose {total_seconds:.0f}s")
 
 
-def test_ac6_compatibility(datasets, trained, identity_trained, held_outputs):
+def test_ac6_compatibility(datasets, identity_trained, held_report):
     _, held = datasets
-    learned = diagnostics.compatibility(held_outputs["compat"])
-    baseline = diagnostics.random_min_angle_mc(200000, seed=0)
-    compat_id = {}
-    for ep in held.episodes:
-        out = diagnostics.predict_step_outputs(
-            identity_trained["params"], identity_trained["config"], ep.obs)
-        compat_id.setdefault(ep.task, []).append((ep.actions[:, :3], out["frames"]))
-    identity = diagnostics.compatibility(compat_id)
+    learned = held_report["compatibility"]["learned"]
+    baseline = held_report["compatibility"]["random_mc_baseline_deg"]
+    identity = diagnostics.diagnose(
+        held, identity_trained["params"], identity_trained["config"],
+        DIAGNOSTICS)["compatibility"]["learned"]
     mean = learned["overall_mean_deg"]
     ok = (mean <= baseline - 15.0
           and mean < identity["overall_mean_deg"])
@@ -246,17 +227,15 @@ def test_ac7_ablation_ordering(ablation):
     report("AC7", ok, detail)
 
 
-def test_ac8_gating_and_phases(datasets, trained, held_outputs):
-    _, held = datasets
-    usage = diagnostics.usage_matrix(held, held_outputs["outputs"])
+def test_ac8_gating_and_phases(held_report):
+    usage = held_report["usage_matrix"]
     ent = diagnostics.row_entropy(usage["rot"])
     by_task = dict(zip(usage["tasks"], ent))
     knob = by_task["knob-turn"]
     others = [v for t, v in by_task.items() if t != "knob-turn"]
     minimal = all(knob < v for v in others)
 
-    timeline = diagnostics.axis_timeline(
-        held_outputs["local_by_episode"]["insert"], time_bins=10)
+    timeline = held_report["axis_timelines"]["insert"]
     phases = diagnostics.dominant_axis_phases(timeline["trans"])
     distinct = len({p[0] for p in phases})
     ok = minimal and distinct >= 2
@@ -267,7 +246,6 @@ def test_ac8_gating_and_phases(datasets, trained, held_outputs):
 
 def test_ac9_determinism(tmp_path):
     import json
-    from mcfproto import cli
 
     cfg = {
         "gym": {"episodes_per_task": 6},

@@ -198,7 +198,9 @@ def per_episode_diagnose(data, ckpt, out_dir, time_bins):
             {t: np.concatenate(v) for t, v in local.items()}),
     })
     cli._write_compat_csv(out_dir / "compatibility.csv", {
-        name: diagnostics.compatibility(p) for name, p in pairs.items()})
+        name: diagnostics.compatibility(
+            {t: tuple(map(np.concatenate, zip(*v))) for t, v in p.items()})
+        for name, p in pairs.items()})
     usage = {"tasks": ds.task_names}
     for j, kind in enumerate(("trans", "rot")):
         usage[kind] = np.array([

@@ -110,28 +110,28 @@ def test_local_actions_concentrate_under_true_frames():
 def test_compatibility_aligned_is_zero():
     frames = np.broadcast_to(np.eye(3), (5, 3, 3)).copy()
     trans = np.tile([0.05, 0.0, 0.0], (5, 1))
-    rep = diagnostics.compatibility({"t": [(trans, frames)]})
+    rep = diagnostics.compatibility({"t": (trans, frames)})
     assert rep["per_task"]["t"]["mean_deg"] == pytest.approx(0.0)
 
 
 def test_compatibility_45_degrees():
     frames = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
     d = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-    rep = diagnostics.compatibility({"t": [(np.tile(0.05 * d, (4, 1)), frames)]})
+    rep = diagnostics.compatibility({"t": (np.tile(0.05 * d, (4, 1)), frames)})
     assert rep["per_task"]["t"]["mean_deg"] == pytest.approx(45.0)
 
 
 def test_compatibility_negative_direction_uses_unsigned_angle():
     frames = np.broadcast_to(np.eye(3), (3, 3, 3)).copy()
     trans = np.tile([-0.05, 0.0, 0.0], (3, 1))
-    rep = diagnostics.compatibility({"t": [(trans, frames)]})
+    rep = diagnostics.compatibility({"t": (trans, frames)})
     assert rep["per_task"]["t"]["mean_deg"] == pytest.approx(0.0)
 
 
 def test_compatibility_filters_small_steps():
     frames = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
     trans = np.array([[0.05, 0, 0], [0.05, 0, 0], [1e-6, 1e-6, 0], [0.05, 0, 0]])
-    rep = diagnostics.compatibility({"t": [(trans, frames)]})
+    rep = diagnostics.compatibility({"t": (trans, frames)})
     assert rep["per_task"]["t"]["n_steps"] == 3
 
 
@@ -139,8 +139,8 @@ def test_compatibility_empty_task_reported():
     frames = np.broadcast_to(np.eye(3), (2, 3, 3)).copy()
     tiny = np.full((2, 3), 1e-9)
     big = np.tile([0.05, 0.0, 0.0], (2, 1))
-    rep = diagnostics.compatibility({"tiny": [(tiny, frames)],
-                                     "big": [(big, frames)]})
+    rep = diagnostics.compatibility({"tiny": (tiny, frames),
+                                     "big": (big, frames)})
     assert rep["per_task"]["tiny"]["n_steps"] == 0
     assert rep["per_task"]["tiny"]["mean_deg"] is None
     assert rep["overall_mean_deg"] == pytest.approx(0.0)
@@ -160,8 +160,19 @@ def test_random_frames_against_random_directions_match_baseline():
     frames = so3.random_rotation(rng, size=5000)
     d = rng.normal(size=(5000, 3))
     d = 0.05 * d / np.linalg.norm(d, axis=1, keepdims=True)
-    rep = diagnostics.compatibility({"r": [(d, frames)]})
+    rep = diagnostics.compatibility({"r": (d, frames)})
     assert rep["per_task"]["r"]["mean_deg"] == pytest.approx(31.9, abs=1.0)
+
+
+def task_spans(ds):
+    """{task: slice of the concatenated steps}; generate writes each task's
+    episodes one after another."""
+    spans, lo = {}, 0
+    for ep in ds.episodes:
+        start = spans[ep.task].start if ep.task in spans else lo
+        lo += len(ep.obs)
+        spans[ep.task] = slice(start, lo)
+    return spans
 
 
 def _tiny_model():
@@ -196,26 +207,13 @@ def test_predict_step_outputs_chunked_matches_per_episode():
 def test_usage_matrix_simplex_rows():
     params, cfg = _tiny_model()
     ds = synthgym.generate(synthgym.default_templates(), 2, seed=9)
-    outputs = [diagnostics.predict_step_outputs(params, cfg, ep.obs)
-               for ep in ds.episodes]
-    usage = diagnostics.usage_matrix(ds, outputs)
+    outputs = diagnostics.predict_step_outputs(
+        params, cfg, np.concatenate([ep.obs for ep in ds.episodes]))
+    usage = diagnostics.usage_matrix(outputs, task_spans(ds))
     assert usage["trans"].shape == (5, 4)
     assert np.abs(usage["trans"].sum(axis=1) - 1.0).max() < 1e-9
     assert np.abs(usage["rot"].sum(axis=1) - 1.0).max() < 1e-9
     assert usage["tasks"] == ds.task_names
-
-
-def test_usage_matrix_one_output_for_all_steps():
-    params, cfg = _tiny_model()
-    ds = synthgym.generate(synthgym.default_templates(), 2, seed=9)
-    per_episode = [diagnostics.predict_step_outputs(params, cfg, ep.obs)
-                   for ep in ds.episodes]
-    whole = diagnostics.predict_step_outputs(
-        params, cfg, np.concatenate([ep.obs for ep in ds.episodes]))
-    a = diagnostics.usage_matrix(ds, per_episode)
-    b = diagnostics.usage_matrix(ds, [whole])
-    for kind in ("trans", "rot"):
-        assert a[kind] == pytest.approx(b[kind], rel=1e-12, abs=0)
 
 
 def test_row_entropy_values():
@@ -232,7 +230,8 @@ def test_axis_timeline_two_phase():
     local[10:, 2] = 0.05
     local[:10, 3] = 0.1
     local[10:, 5] = 0.1
-    tl = diagnostics.axis_timeline([local] * 3, time_bins=10)
+    tl = diagnostics.axis_timeline(np.concatenate([local] * 3), [20] * 3,
+                                   time_bins=10)
     assert np.allclose(tl["trans"][:5, 0], 1.0)
     assert np.allclose(tl["trans"][5:, 2], 1.0)
     phases = diagnostics.dominant_axis_phases(tl["trans"])
@@ -251,7 +250,8 @@ def test_axis_timeline_matches_step_loop():
             counts[0, b, np.abs(row[:3]).argmax()] += 1
             counts[1, b, np.abs(row[3:]).argmax()] += 1
     want = counts / counts.sum(axis=2, keepdims=True)
-    tl = diagnostics.axis_timeline(episodes, time_bins=4)
+    tl = diagnostics.axis_timeline(np.concatenate(episodes),
+                                   [len(local) for local in episodes], time_bins=4)
     assert np.array_equal(tl["trans"], want[0])
     assert np.array_equal(tl["rot"], want[1])
 

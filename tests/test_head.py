@@ -35,7 +35,10 @@ def test_frames_are_rotations():
     params = head.init_params(cfg, np.random.default_rng(3))
     obs = np.random.default_rng(4).normal(size=(8, 5))
     out = head.head_forward(obs, params, cfg)
-    assert so3.is_rotation(out.frames.value, tol=1e-9)
+    R = out.frames.value
+    assert np.linalg.norm(R.swapaxes(-1, -2) @ R - np.eye(3),
+                          axis=(-2, -1)).max() < 1e-9
+    assert np.abs(np.linalg.det(R) - 1.0).max() < 1e-9
 
 
 def test_gating_simplex():

@@ -206,9 +206,23 @@ def test_arc_rotates_translation_direction():
     assert np.allclose(cr, [0.0, 0.0, 0.1])
 
 
+def per_step(ds):
+    """(actions, scene rotations, {task: slice}) over the concatenated steps;
+    generate writes each task's episodes one after another."""
+    spans, lo = {}, 0
+    for ep in ds.episodes:
+        start = spans[ep.task].start if ep.task in spans else lo
+        lo += len(ep.actions)
+        spans[ep.task] = slice(start, lo)
+    return (np.concatenate([ep.actions for ep in ds.episodes]),
+            np.concatenate([np.broadcast_to(ep.q, (len(ep.actions), 3, 3))
+                            for ep in ds.episodes]),
+            spans)
+
+
 def test_world_vs_canonical_stats_direction():
     ds = synthgym.generate(synthgym.default_templates(), 40, seed=8)
-    stats = synthgym.world_vs_canonical_stats(ds)
+    stats = synthgym.world_vs_canonical_stats(*per_step(ds))
     w = stats["world"]["summary"]
     c = stats["canonical"]["summary"]
     assert c["effective_rank"]["mean"] < w["effective_rank"]["mean"]
@@ -218,7 +232,7 @@ def test_world_vs_canonical_stats_direction():
 def test_world_equals_canonical_without_randomization():
     ds = synthgym.generate(synthgym.default_templates(), 10, seed=9,
                            frame_randomize=False)
-    stats = synthgym.world_vs_canonical_stats(ds)
+    stats = synthgym.world_vs_canonical_stats(*per_step(ds))
     for metric in ("effective_rank", "pca_top3_ev", "covariance_trace"):
         assert stats["world"]["summary"][metric]["mean"] == pytest.approx(
             stats["canonical"]["summary"][metric]["mean"], rel=1e-12)

@@ -87,6 +87,12 @@ def test_split_dataset_stratified_and_deterministic():
     assert len(tr1) + len(va1) == len(ds.episodes)
 
 
+def test_split_dataset_zero_fraction_holds_out_nothing():
+    ds = synthgym.generate(synthgym.default_templates(), 5, seed=0)
+    train_eps, val_eps = trainer.split_dataset(ds, 0.0, seed=0)
+    assert (len(train_eps), len(val_eps)) == (25, 0)
+
+
 def test_train_smoke_and_loss_decreases():
     ds = tiny_dataset()
     hc, tc = tiny_configs(steps=200, warmup=20, eval_interval=50)
