@@ -253,8 +253,8 @@ def gram_schmidt_6d(p):
 
     def backward(g):
         g1 = g[..., :, 0]
-        g2 = g[..., :, 1] + np.cross(g[..., :, 2], b1)
-        gb1 = g1 + np.cross(b2, g[..., :, 2])
+        g2 = g[..., :, 1] + so3.cross(g[..., :, 2], b1)
+        gb1 = g1 + so3.cross(b2, g[..., :, 2])
         # b2 = c2 / |c2|
         gc2 = (g2 - (b2 * g2).sum(axis=-1, keepdims=True) * b2) / n2
         # c2 = a2 - (b1.a2) b1

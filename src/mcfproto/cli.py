@@ -231,11 +231,12 @@ def _write_compat_csv(path, compat):
 def _write_usage_csv(path, usage):
     with atomic_open(path) as f:
         w = csv.writer(f)
-        k = usage["trans"].shape[1]
+        k = max(usage["trans"].shape[1], usage["rot"].shape[1])
         w.writerow(["dictionary", "task"] + [f"proto_{i}" for i in range(k)])
-        for kind in ("trans", "rot"):
+        for kind in ("trans", "rot"):  # the smaller dictionary's last cells are empty
             for task, row in zip(usage["tasks"], usage[kind]):
-                w.writerow([kind, task] + [_float_repr(x) for x in row])
+                w.writerow([kind, task] + [_float_repr(x) for x in row]
+                           + [""] * (k - len(row)))
 
 
 def _write_timeline_csv(path, timelines):

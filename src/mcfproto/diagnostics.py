@@ -147,10 +147,11 @@ def random_min_angle_mc(n=10 ** 6, seed=0):
 def predict_step_outputs(params, config, obs):
     """Per-step head outputs for any number of observation rows.
 
-    Runs the head on slices of _CHUNK rows and keeps the first horizon slot,
-    giving one frame and one gating pair per row; only one slice's tape is
-    alive at a time.
+    Runs the head cut to its first horizon slot (head.first_slot) on slices of
+    _CHUNK rows, giving one frame and one gating pair per row; only one
+    slice's tape is alive at a time.
     """
+    params, config = head_mod.first_slot(params, config)
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
     n = len(obs)
     out = {"frames": np.empty((n, 3, 3)),

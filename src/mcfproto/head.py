@@ -15,16 +15,13 @@ logit is identically [1]).
 
 import contextlib
 import json
-import logging
 import math
 import os
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
-
-log = logging.getLogger(__name__)
 
 CHECKPOINT_SCHEMA = 2
 
@@ -233,6 +230,18 @@ def head_forward(obs, params, config):
     )
 
 
+def first_slot(params, config):
+    """The head cut to horizon slot 0, (params, config with horizon 1), whose
+    head_forward is the full one's [:, :1]. Each per-slot head is laid out
+    slot-major, so slot 0 is its leading 1/horizon of rows; the other tensors
+    pass through."""
+    per_slot = {"frame.w2", "frame.b2", *(f"{name}.{t}" for t in "wb" for name in (
+        "gate_t", "gate_r", "scale_t", "scale_r", "rest"))}
+    cut = {k: ad.Param(p.value[:len(p.value) // config.horizon], k) if k in per_slot
+           else p for k, p in params.items()}
+    return cut, replace(config, horizon=1)
+
+
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
@@ -270,8 +279,7 @@ def loss_smooth_chunk(frames):
     frames: (B, H, 3, 3) node; returns a scalar node (0 if H == 1).
     """
     horizon = frames.shape[1]
-    if horizon < 2:
-        log.warning("no consecutive frame pairs in chunk; smoothness term is 0")
+    if horizon < 2:  # trainer.train warns once per run
         return ad.constant(0.0)
     prev = ad.slice_axis(frames, 1, 0, horizon - 1)
     cur = ad.slice_axis(frames, 1, 1, horizon)

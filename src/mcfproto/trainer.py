@@ -215,6 +215,9 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
     hc, tc = head_config, train_config
     if not dataset.episodes:
         raise ValueError("dataset is empty")
+    if hc.horizon < 2:
+        log.warning("head.horizon is 1: no consecutive frame pairs in a chunk, "
+                    "so the smoothness term is 0")
     train_eps, val_eps = split_dataset(dataset, tc.val_fraction, tc.seed)
     if not train_eps:
         train_eps = list(dataset.episodes)

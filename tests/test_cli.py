@@ -253,6 +253,27 @@ def test_diagnose_matches_per_episode_reference(tmp_path, monkeypatch):
             == (ref / "axis_timeline.csv").read_bytes())
 
 
+@pytest.mark.parametrize("k_trans, k_rot", [(4, 8), (8, 4)])
+def test_usage_csv_rows_match_header(tmp_path, k_trans, k_rot):
+    cfg = small_config(tmp_path, head={"k_trans": k_trans, "k_rot": k_rot, "d": 2})
+    data = tmp_path / "data.jsonl"
+    synthgym.save_jsonl(synthgym.generate(synthgym.default_templates(), 2, seed=0),
+                        str(data))
+    hc = head.HeadConfig(k_trans=k_trans, k_rot=k_rot, d=2)
+    ckpt = tmp_path / "ckpt.json"
+    head.save_checkpoint(str(ckpt), head.init_params(hc, np.random.default_rng(0)),
+                         hc)
+    assert run_cli(["diagnose", "--data", str(data), "--ckpt", str(ckpt),
+                    "--config", cfg, "--out", str(tmp_path / "diag")]) == 0
+    with open(tmp_path / "diag" / "usage_matrix.csv") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["dictionary", "task"] + [f"proto_{i}" for i in range(8)]
+    assert all(len(row) == len(rows[0]) for row in rows)
+    for row in rows[1:]:
+        k = k_trans if row[0] == "trans" else k_rot
+        assert all(row[2:2 + k]) and not any(row[2 + k:])
+
+
 def test_train_rerun_from_resolved_config_bitwise(tmp_path):
     cfg = small_config(tmp_path)
     data = tmp_path / "data.jsonl"

@@ -62,8 +62,9 @@ def brute_force_mean_distance(X):
     return total / (len(X) * (len(X) - 1) / 2)
 
 
-@pytest.mark.parametrize("n", [2, 3, kernels._BLOCK - 1, kernels._BLOCK,
-                               kernels._BLOCK + 1, 2 * kernels._BLOCK + 5])
+@pytest.mark.parametrize("n", sorted({2, 3, 127, 128, 129, 261, kernels._BLOCK - 1,
+                                      kernels._BLOCK, kernels._BLOCK + 1,
+                                      2 * kernels._BLOCK + 5}))
 @pytest.mark.parametrize("data", ["gaussian", "offset", "duplicates"])
 def test_pairwise_mean_distance_matches_brute_force(n, data):
     rng = np.random.default_rng(n)

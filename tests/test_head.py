@@ -87,6 +87,25 @@ def test_identity_frame_ablation():
     assert np.abs(out.world_action.value[..., :3] - out.local_trans.value).max() == 0.0
 
 
+@pytest.mark.parametrize("overrides", [
+    {}, {"k_trans": 4, "k_rot": 8, "d": 2}, {"learn_frame": False}, {"horizon": 1},
+    {"horizon": 20}], ids=["default", "k4-k8-d2", "identity-frame", "h1", "h20"])
+@pytest.mark.parametrize("batch", [1, 5, 256])
+def test_first_slot_forward_is_full_forward_slot_0(overrides, batch):
+    cfg = head.HeadConfig(**overrides)
+    params = head.init_params(cfg, np.random.default_rng(15))
+    params["frame.w2"].value *= 1e3  # frames far from the identity
+    obs = np.random.default_rng(16).normal(size=(batch, cfg.obs_dim))
+    full = head.head_forward(obs, params, cfg)
+    cut = head.head_forward(obs, *head.first_slot(params, cfg))
+    for field in ("frames", "gating_trans", "gating_rot", "scales_trans",
+                  "scales_rot", "local_trans", "local_rot", "world_action"):
+        want = getattr(full, field).value[:, :1]
+        got = getattr(cut, field).value
+        assert got.shape == want.shape, field
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), field
+
+
 def test_k1_softmax_is_constant_one():
     cfg = small_config(k_trans=1, k_rot=1)
     params = head.init_params(cfg, np.random.default_rng(13))

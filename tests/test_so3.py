@@ -91,6 +91,20 @@ def test_geodesic_cos_clamped_under_noise():
         assert -1.0 <= c <= 1.0
 
 
+@pytest.mark.parametrize("shape", [(64, 7, 3), (256, 1, 3), (512, 7, 3), (12800, 3),
+                                   (3,)])
+def test_cross_is_bitwise_np_cross(shape):
+    rng = np.random.default_rng(shape[0])
+    a, b = rng.normal(size=(2,) + shape)
+    a.flat[::5] = 0.0  # signed zeros in the products and differences
+    b.flat[::7] = -0.0
+    assert so3.cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    # strided views, as the Gram-Schmidt backward passes them
+    m = rng.normal(size=shape + (3,))
+    assert (so3.cross(m[..., 2], b).tobytes()
+            == np.cross(m[..., 2], b).tobytes())
+
+
 def test_axis_angle():
     assert np.allclose(so3.axis_angle_to_rotation(np.zeros(3)), np.eye(3))
     assert np.allclose(so3.axis_angle_to_rotation(np.array([0, 0, np.pi / 2])),

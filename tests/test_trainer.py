@@ -1,12 +1,13 @@
 import base64
 import json
+import logging
 import os
 import shutil
 
 import numpy as np
 import pytest
 
-from mcfproto import head, so3, synthgym, trainer
+from mcfproto import diagnostics, head, so3, synthgym, trainer
 
 
 def tiny_dataset(seed=0, episodes=6):
@@ -385,3 +386,17 @@ def test_ablation_suite_propagates_programming_errors(monkeypatch):
     hc, tc = tiny_configs()
     with pytest.raises(TypeError):
         trainer.ablation_suite(tiny_dataset(episodes=1), hc, tc, seeds=(0,))
+
+
+def test_horizon_one_warns_once_per_run(caplog):
+    hc = head.HeadConfig(hidden=16, k_trans=4, k_rot=4, horizon=1)
+    tc = trainer.TrainConfig(steps=5, warmup=1, batch_size=16, eval_interval=5)
+    ds = tiny_dataset()
+    seven = head.HeadConfig(hidden=16, k_trans=4, k_rot=4)
+    with caplog.at_level(logging.WARNING):
+        trainer.train(ds, hc, tc)
+        # diagnose runs a horizon-1 cut of the head, which must not warn
+        diagnostics.predict_step_outputs(
+            head.init_params(seven, np.random.default_rng(0)), seven, ds.episodes[0].obs)
+    assert len(caplog.records) == 1
+    assert "smoothness term is 0" in caplog.records[0].getMessage()
