@@ -11,6 +11,7 @@ object-offset cue, so a zero-error frame predictor exists by construction.
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -20,6 +21,10 @@ from .head import ACTION_DIM, atomic_open
 SCHEMA_VERSION = 1
 DEFAULT_MAX_STEP = 0.05
 DEFAULT_NOISE_FRAC = 0.02  # of max step size
+# Episodes per save_jsonl batch. On the default 1,000-episode dataset (2 vCPUs),
+# 16-64 write it fastest (0.09-0.10 s; 0.12 s as one batch), and 16 holds
+# 0.6 MB of strings at a time (2.2 MB at 64, 19 MB as one batch).
+_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -195,18 +200,38 @@ def generate(templates, episodes_per_task, noise_scale=None, seed=0,
 # ---------------------------------------------------------------------------
 
 def save_jsonl(dataset, path):
+    """One line per episode, byte for byte `json.dumps` of its document.
+
+    Each batch of _BATCH episodes formats its distinct floats (by bit
+    pattern, so -0.0 stays apart from 0.0) with one `json.dumps` call and
+    joins the lines from those strings.
+    """
+    eps = dataset.episodes
+    width = eps[0].obs.shape[1] if eps else 0
+    for i, ep in enumerate(eps):
+        if ep.obs.shape[1] != width:
+            raise ValueError(f"episode {i}: obs width {ep.obs.shape[1]} differs "
+                             f"from episode 0's {width}")
     with atomic_open(path) as f:
-        for ep in dataset.episodes:
-            doc = {
-                "schema_version": SCHEMA_VERSION,
-                "task": ep.task,
-                "q_6d": so3.encode_6d(ep.q).tolist(),
-                "steps": [
-                    {"obs": o.tolist(), "action": a.tolist()}
-                    for o, a in zip(ep.obs, ep.actions)
-                ],
-            }
-            f.write(json.dumps(doc) + "\n")
+        for lo in range(0, len(eps), _BATCH):
+            batch = eps[lo:lo + _BATCH]
+            rows = np.concatenate([np.concatenate([ep.obs, ep.actions], axis=1)
+                                   for ep in batch], dtype=np.float64)
+            values = np.concatenate([so3.encode_6d([ep.q for ep in batch]).ravel(),
+                                     rows.ravel()])
+            bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+            text = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+            text = np.array(text, dtype=object)[inverse]
+            q_text = text[:6 * len(batch)].reshape(-1, 6).tolist()
+            step_text = iter(text[6 * len(batch):].reshape(rows.shape).tolist())
+            for ep, q in zip(batch, q_text):
+                steps = ", ".join(
+                    f'{{"obs": [{", ".join(r[:width])}], '
+                    f'"action": [{", ".join(r[width:])}]}}'
+                    for r in islice(step_text, len(ep.obs)))
+                f.write(f'{{"schema_version": {SCHEMA_VERSION}, "task": '
+                        f'{json.dumps(ep.task)}, "q_6d": [{", ".join(q)}], '
+                        f'"steps": [{steps}]}}\n')
 
 
 def _field(doc, key, where):
@@ -217,13 +242,17 @@ def _field(doc, key, where):
     return doc[key]
 
 
-def _step_array(rows, what, where):
+def _numbers(value, what, where, ndim):
+    """`value` as a finite float array of `ndim` dims, if it holds only JSON
+    numbers (in equally wide rows)."""
     try:
-        arr = np.array(rows, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != 2:
-        raise ValueError(f"{where}: {what} rows are not equally wide numbers")
+        arr = np.array(value)
+    except ValueError:  # ragged rows
+        arr = np.array(None)
+    if arr.dtype.kind not in "iuf" or arr.ndim != ndim:
+        raise ValueError(f"{where}: {what} " + ("is not a list" if ndim == 1 else
+                         "rows are not equally wide lists") + " of numbers")
+    arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{where}: non-finite {what} value")
     return arr
@@ -242,25 +271,24 @@ def load_jsonl(path):
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{where}: invalid JSON ({exc.msg})") from exc
-            if _field(doc, "schema_version", where) != SCHEMA_VERSION:
-                raise ValueError(
-                    f"{where}: unsupported dataset schema: {doc['schema_version']}"
-                )
+            version = _field(doc, "schema_version", where)
+            if type(version) is not int or version != SCHEMA_VERSION:
+                raise ValueError(f"{where}: unsupported dataset schema: {version!r}")
             task = _field(doc, "task", where)
+            if not isinstance(task, str):
+                raise ValueError(f"{where}: task is not a string: {task!r}")
             if task not in task_names:
                 task_names.append(task)
-            q6 = _field(doc, "q_6d", where)
-            try:
-                q6s.append(np.array(q6, dtype=float).reshape(6))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"invalid q_6d in {where}: {exc}") from exc
+            q6s.append(_numbers(_field(doc, "q_6d", where), "q_6d", where, 1))
+            if len(q6s[-1]) != 6:
+                raise ValueError(f"{where}: q_6d holds {len(q6s[-1])} numbers, not 6")
             wheres.append(where)
             steps = _field(doc, "steps", where)
             if not steps:
                 raise ValueError(f"{where}: episode has no steps")
-            obs = _step_array([_field(s, "obs", where) for s in steps], "obs", where)
-            actions = _step_array([_field(s, "action", where) for s in steps],
-                                  "action", where)
+            obs = _numbers([_field(s, "obs", where) for s in steps], "obs", where, 2)
+            actions = _numbers([_field(s, "action", where) for s in steps],
+                               "action", where, 2)
             if episodes and obs.shape[1] != episodes[0].obs.shape[1]:
                 raise ValueError(f"{where}: obs width {obs.shape[1]} differs from "
                                  f"{episodes[0].obs.shape[1]} on earlier lines")

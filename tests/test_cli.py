@@ -299,9 +299,10 @@ def test_train_obs_dim_mismatch(tmp_path, capsys):
     assert "obs dim" in capsys.readouterr().err
 
 
-def episode_line(*steps):
+def episode_line(*steps, **fields):
     return json.dumps({"schema_version": 1, "task": "x",
-                       "q_6d": [1, 0, 0, 0, 1, 0], "steps": list(steps)}) + "\n"
+                       "q_6d": [1, 0, 0, 0, 1, 0], "steps": list(steps),
+                       **fields}) + "\n"
 
 
 def step(obs_width=15, action_width=7, obs_value=0.0):
@@ -327,9 +328,14 @@ def degenerate_line(q_6d):
     ('{"schema_version": 1, "task": "x", "q_6d": null, "steps": []}\n', "line 1"),
     (episode_line(step()) + degenerate_line([0, 1, 0, 0, 2, 0])
      + episode_line(step()), "line 2"),
+    (episode_line(step()) + episode_line(step(), task=["x"]), "line 2"),
+    (episode_line(step(obs_value="0.71")), "line 1"),
+    (episode_line(step(), q_6d=["1", 0, 0, 0, 1, 0]), "line 1"),
+    (episode_line(step(), schema_version=True), "line 1"),
 ], ids=["empty", "degenerate_q_6d", "no_steps", "ragged_obs", "action_width",
         "nan_obs", "not_object", "missing_steps", "missing_action", "bad_json",
-        "null_q_6d", "degenerate_q_6d_line_2"])
+        "null_q_6d", "degenerate_q_6d_line_2", "list_task", "string_obs",
+        "string_q_6d", "bool_schema_version"])
 def test_train_rejects_bad_dataset(tmp_path, capsys, content, where):
     data = tmp_path / "data.jsonl"
     data.write_text(content)
@@ -398,6 +404,20 @@ def test_diagnose_rejects_bad_checkpoint(tmp_path, capsys, section, key, value):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert str(ckpt) in err
+
+
+def test_diagnose_rejects_list_task(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    data.write_text(episode_line(step()) + episode_line(step(), task=["x"]))
+    hc = head.HeadConfig(hidden=4, k_trans=2, k_rot=2, horizon=2)
+    ckpt = tmp_path / "ckpt.json"
+    head.save_checkpoint(str(ckpt), head.init_params(hc, np.random.default_rng(0)),
+                         hc)
+    code = run_cli(["diagnose", "--data", str(data), "--ckpt", str(ckpt),
+                    "--out", str(tmp_path / "diag")])
+    assert code == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{data}, line 2" in err
 
 
 def test_resume_needs_optimizer_state(tmp_path, capsys):

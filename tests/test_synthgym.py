@@ -1,9 +1,10 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
-from mcfproto import so3, synthgym
+from mcfproto import head, so3, synthgym
 
 
 def test_five_distinct_templates():
@@ -260,21 +261,112 @@ def test_jsonl_crash_keeps_old_file(tmp_path, monkeypatch):
                         str(path))
     before = path.read_bytes()
     other = synthgym.generate(synthgym.default_templates(), 2, seed=12)
-    encode_6d = so3.encode_6d
-    calls = []
 
-    def fail_on_second_episode(q):
-        # the first episode's line is written before this raises
-        calls.append(q)
-        if len(calls) == 2:
-            raise OSError(28, "No space left on device")
-        return encode_6d(q)
+    class DiskFull:
+        """A file whose second write stores a prefix of the text, then fails."""
 
-    monkeypatch.setattr(so3, "encode_6d", fail_on_second_episode)
+        def __init__(self, f):
+            self.f = f
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 2:
+                self.f.write(text[:32])
+                raise OSError(28, "No space left on device")
+            return self.f.write(text)
+
+    real_open = open
+    monkeypatch.setattr(head, "open", lambda p, mode="r": DiskFull(real_open(p, mode)),
+                        raising=False)
     with pytest.raises(OSError):
         synthgym.save_jsonl(other, str(path))
+    monkeypatch.undo()
     assert path.read_bytes() == before
     assert not os.path.exists(f"{path}.tmp")
+
+
+def reference_jsonl(dataset):
+    """The JSONL text as json.dumps writes each episode's document."""
+    return "".join(json.dumps({
+        "schema_version": synthgym.SCHEMA_VERSION,
+        "task": ep.task,
+        "q_6d": so3.encode_6d(ep.q).tolist(),
+        "steps": [{"obs": o.tolist(), "action": a.tolist()}
+                  for o, a in zip(ep.obs, ep.actions)],
+    }) + "\n" for ep in dataset.episodes).encode()
+
+
+def assert_writes_reference(dataset, path):
+    synthgym.save_jsonl(dataset, str(path))
+    assert path.read_bytes() == reference_jsonl(dataset)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"noise_scale": 0.0}, {"frame_randomize": False},
+], ids=["default_noise", "no_noise", "no_randomize"])
+def test_jsonl_bytes_match_json_dumps(tmp_path, kwargs):
+    ds = synthgym.generate(synthgym.default_templates(), 9, seed=13, **kwargs)
+    assert_writes_reference(ds, tmp_path / "data.jsonl")
+
+
+def odd_episode(task, n_steps, seed):
+    """An episode whose arrays hold the floats json spells unusually."""
+    rng = np.random.default_rng(seed)
+    obs = rng.normal(size=(n_steps, 12))
+    actions = rng.normal(size=(n_steps, 7))
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e16, 0.1 + 0.2, np.nan,
+               np.inf, -np.inf, 1.0, -1.0]
+    obs[0] = special
+    actions[-1] = special[-7:]
+    return synthgym.Episode(task, 0, so3.random_rotation(rng), obs, actions)
+
+
+def test_jsonl_bytes_match_json_dumps_special_floats(tmp_path):
+    ds = synthgym.Dataset([odd_episode('say "h\u00e9"', 5, 0),
+                           odd_episode("x", 1, 1), odd_episode("x", 17, 2)],
+                          ['say "h\u00e9"', "x"])
+    assert_writes_reference(ds, tmp_path / "data.jsonl")
+    assert b'"obs": [-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e+16, 0.30000000000000004, ' \
+        b'NaN, Infinity, -Infinity, 1.0, -1.0]' in (tmp_path / "data.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("shift, times", [(-1, 1), (0, 1), (1, 1), (3, 2), (0, 0)],
+                         ids=["batch-1", "batch", "batch+1", "2batch+3", "empty"])
+def test_jsonl_bytes_match_json_dumps_at_batch_edges(tmp_path, shift, times):
+    n = times * synthgym._BATCH + shift if times else 0
+    ds = synthgym.Dataset([odd_episode(f"t{i % 3}", 1 + i % 5, i) for i in range(n)],
+                          [f"t{i}" for i in range(min(n, 3))])
+    assert_writes_reference(ds, tmp_path / "data.jsonl")
+    if not n:
+        assert (tmp_path / "data.jsonl").read_bytes() == b""
+
+
+def test_jsonl_reload_is_bitwise(tmp_path):
+    ds = synthgym.generate(synthgym.default_templates(0.03), 4, seed=14, noise_scale=0.0,
+                           frame_randomize=False)
+    path = tmp_path / "data.jsonl"
+    assert_writes_reference(ds, path)
+    loaded = synthgym.load_jsonl(str(path))
+    for a, b in zip(ds.episodes, loaded.episodes, strict=True):
+        for x, y in ((a.obs, b.obs), (a.actions, b.actions), (a.q, b.q)):
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def test_jsonl_rejects_unequal_obs_widths(tmp_path):
+    eps = [odd_episode("x", 3, i) for i in range(4)]
+    eps[2].obs = eps[2].obs[:, :3]
+    eps[3].obs = eps[3].obs[:, :5]
+    path = tmp_path / "data.jsonl"
+    with pytest.raises(ValueError, match="episode 2: obs width 3"):
+        synthgym.save_jsonl(synthgym.Dataset(eps, ["x"]), str(path))
+    assert not path.exists() and not os.path.exists(f"{path}.tmp")
 
 
 def test_jsonl_rejects_unknown_schema(tmp_path):
