@@ -55,6 +55,8 @@ def _as_node(x):
 
 
 def _unbroadcast(grad, shape):
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for i, (g, s) in enumerate(zip(grad.shape, shape)):
@@ -320,12 +322,12 @@ def _topo_order(root):
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
     return order
 
@@ -341,9 +343,9 @@ def backward(loss):
         raise RuntimeError("backward already ran on this graph; re-run forward")
     loss._done = True
     order = _topo_order(loss)
-    grads = {id(loss): np.array(1.0)}
+    grads = {loss: np.array(1.0)}  # keyed by the node: Node hashes by identity
     for node in reversed(order):
-        g = grads.pop(id(node), None)
+        g = grads.pop(node, None)
         if g is None or node.backward_fn is None:
             if g is not None and isinstance(node, Param):
                 node.grad += g
@@ -352,8 +354,8 @@ def backward(loss):
             node.grad += g
         parent_grads = node.backward_fn(np.asarray(g))
         for p, pg in zip(node.parents, parent_grads):
-            acc = grads.get(id(p))
-            grads[id(p)] = pg if acc is None else acc + pg
+            acc = grads.get(p)
+            grads[p] = pg if acc is None else acc + pg
 
 
 def collect_kinks(loss):

@@ -242,9 +242,9 @@ def _field(doc, key, where):
     return doc[key]
 
 
-def _numbers(value, what, where, ndim):
+def _numbers(value, what, where, ndim, bools=False):
     """`value` as a finite float array of `ndim` dims, if it holds only JSON
-    numbers (in equally wide rows)."""
+    numbers (in equally wide rows); with `bools`, no JSON true or false."""
     try:
         arr = np.array(value)
     except ValueError:  # ragged rows
@@ -252,6 +252,8 @@ def _numbers(value, what, where, ndim):
     if arr.dtype.kind not in "iuf" or arr.ndim != ndim:
         raise ValueError(f"{where}: {what} " + ("is not a list" if ndim == 1 else
                          "rows are not equally wide lists") + " of numbers")
+    if bools and any(type(x) is bool for x in np.array(value, dtype=object).flat):
+        raise ValueError(f"{where}: {what} holds a boolean, not a number")
     arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{where}: non-finite {what} value")
@@ -279,16 +281,19 @@ def load_jsonl(path):
                 raise ValueError(f"{where}: task is not a string: {task!r}")
             if task not in task_names:
                 task_names.append(task)
-            q6s.append(_numbers(_field(doc, "q_6d", where), "q_6d", where, 1))
+            # np.array reads true and false as 1 and 0; no key holds a u or an f
+            bools = "u" in line and "true" in line or "f" in line and "false" in line
+            q6s.append(_numbers(_field(doc, "q_6d", where), "q_6d", where, 1, bools))
             if len(q6s[-1]) != 6:
                 raise ValueError(f"{where}: q_6d holds {len(q6s[-1])} numbers, not 6")
             wheres.append(where)
             steps = _field(doc, "steps", where)
             if not steps:
                 raise ValueError(f"{where}: episode has no steps")
-            obs = _numbers([_field(s, "obs", where) for s in steps], "obs", where, 2)
+            obs = _numbers([_field(s, "obs", where) for s in steps], "obs", where,
+                           2, bools)
             actions = _numbers([_field(s, "action", where) for s in steps],
-                               "action", where, 2)
+                               "action", where, 2, bools)
             if episodes and obs.shape[1] != episodes[0].obs.shape[1]:
                 raise ValueError(f"{where}: obs width {obs.shape[1]} differs from "
                                  f"{episodes[0].obs.shape[1]} on earlier lines")

@@ -19,6 +19,8 @@ from . import autodiff as ad
 from . import linalg, trainer
 
 GAUSSIAN_C = np.sqrt(2.0 / np.pi)  # E|z_1| for a standard normal
+# per dim of SO(d): the strict upper triangle's index and the identity, built once
+_TABLES = {d: ((..., *np.triu_indices(d, 1)), np.eye(d)) for d in range(2, 7)}
 
 
 def sigma_sqrt(sigma):
@@ -83,10 +85,10 @@ def analytic_minimum(sigma, c=GAUSSIAN_C):
 
 def _cayley(theta, dim):
     """Cayley map of each row of theta, shape (..., n_par) -> (..., d, d)."""
+    upper, eye = _TABLES[dim]
     A = np.zeros(theta.shape[:-1] + (dim, dim))
-    A[(..., *np.triu_indices(dim, 1))] = theta
+    A[upper] = theta
     A -= np.swapaxes(A, -1, -2)
-    eye = np.eye(dim)
     return np.linalg.solve(eye - A, eye + A)
 
 
@@ -96,8 +98,7 @@ def _body_grad(R, sigma, c):
     R may carry leading axes, (..., d, d) -> (..., n_par)."""
     M = np.swapaxes(R, -1, -2) @ sigma @ R
     H = M / np.sqrt(np.diagonal(M, axis1=-2, axis2=-1))[..., None, :]
-    return 2.0 * c * (H - np.swapaxes(H, -1, -2))[
-        (..., *np.triu_indices(M.shape[-1], 1))]
+    return 2.0 * c * (H - np.swapaxes(H, -1, -2))[_TABLES[M.shape[-1]][0]]
 
 
 def _minimize(sigma, c, theta0, dim, iters=400, lr=0.05):

@@ -84,37 +84,47 @@ class AdamW:
     """
 
     def __init__(self, params, config):
-        self.params = params
-        self.cfg = config
-        self.step_count = 0
-        self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
+        self.params, self.cfg, self.step_count = params, config, 0
+        # one flat vector holds every parameter; each Param.value views its slice
+        self.flat = np.concatenate([p.value for p in params.values()], axis=None)
+        sizes = [p.value.size for p in params.values()]
+        for p, end in zip(params.values(), np.cumsum(sizes)):
+            p.value = self.flat[end - p.value.size:end].reshape(p.value.shape)
+        self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
+        self.scratch = np.empty_like(self.flat), np.empty_like(self.flat)
+        decay = np.concatenate([np.full(p.value.size, (
+            config.weight_decay_scale if k.startswith("scale_") else
+            0.0 if k.startswith("dict_") else config.weight_decay))
+            for k, p in params.items()])
+        edges = [0, *(np.flatnonzero(np.diff(decay)) + 1), decay.size]
+        self.decay = [(slice(a, b), decay[a])  # each run of one decay > 0
+                      for a, b in zip(edges, edges[1:]) if decay[a] > 0]
 
     def step(self, lr):
+        # the per-tensor update's exact operation order, on the whole vector
+        # and in place: temporaries of its size cost more than the arithmetic
         self.step_count += 1
         c = self.cfg
         bc1 = 1.0 - c.beta1 ** self.step_count
         bc2 = 1.0 - c.beta2 ** self.step_count
-        for k, p in self.params.items():
-            g = p.grad
-            self.m[k] = c.beta1 * self.m[k] + (1.0 - c.beta1) * g
-            self.v[k] = c.beta2 * self.v[k] + (1.0 - c.beta2) * g * g
-            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + c.eps)
-            if k.startswith("scale_"):
-                decay = c.weight_decay_scale
-            elif k.startswith("dict_"):
-                decay = 0.0
-            else:
-                decay = c.weight_decay
-            if decay > 0:
-                update = update + decay * p.value
-            p.value -= lr * update
+        g, u = self.scratch
+        np.concatenate([p.grad for p in self.params.values()], axis=None, out=g)
+        self.m *= c.beta1
+        self.m += np.multiply(1.0 - c.beta1, g, out=u)
+        np.multiply(1.0 - c.beta2, g, out=u)
+        self.v *= c.beta2
+        self.v += np.multiply(u, g, out=u)
+        denom = np.sqrt(np.divide(self.v, bc2, out=g), out=g)
+        denom += c.eps
+        update = np.divide(np.divide(self.m, bc1, out=u), denom, out=u)
+        for part, decay in self.decay:  # no "+ 0 * p": 0 * inf is nan
+            update[part] += np.multiply(decay, self.flat[part], out=denom[part])
+        self.flat -= np.multiply(lr, update, out=update)
 
     def state(self):
         """step_count, and the moments m and v each as one encode_f8 string."""
         return {"step_count": self.step_count,
-                "m": encode_f8(self.m[k] for k in self.params),
-                "v": encode_f8(self.v[k] for k in self.params)}
+                "m": encode_f8([self.m]), "v": encode_f8([self.v])}
 
     def load_state(self, state):
         """Inverse of state(). Raises ValueError when `state` is not one for
@@ -124,8 +134,8 @@ class AdamW:
         step_count = state.get("step_count")
         if not _is_int(step_count):
             raise ValueError(f"optimizer step_count {step_count!r} is not an integer")
-        self.m, self.v = (decode_f8(state.get(key), self.params,
-                                    f"optimizer moment {key!r}")
+        self.m, self.v = (_decode_flat(state.get(key), self.flat.size,
+                                       f"optimizer moment {key!r}")
                           for key in ("m", "v"))
         self.step_count = step_count
 
@@ -138,23 +148,25 @@ def encode_f8(arrays):
     return base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii")
 
 
-def decode_f8(text, params, what):
-    """Inverse of encode_f8 for arrays shaped like `params`, in their order:
-    {name: array}. Raises ValueError naming `what` when `text` is not one."""
+def _decode_flat(text, size, what):
+    """Inverse of encode_f8 for `size` floats, as one flat array."""
     if not isinstance(text, str):
         raise ValueError(f"{what} is not a base64 string")
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError as exc:
         raise ValueError(f"{what} is not valid base64: {exc}") from exc
+    if len(raw) != 8 * size:
+        raise ValueError(f"{what} holds {len(raw)} bytes, not 8 x {size} parameters")
+    return np.frombuffer(raw, dtype="<f8").astype(float)
+
+
+def decode_f8(text, params, what):
+    """Inverse of encode_f8 for arrays shaped like `params`, in their order:
+    {name: array}. Raises ValueError naming `what` when `text` is not one."""
     sizes = [p.value.size for p in params.values()]
-    if len(raw) != 8 * sum(sizes):
-        raise ValueError(f"{what} holds {len(raw)} bytes, not 8 x {sum(sizes)} "
-                         "parameters")
-    flat = np.frombuffer(raw, dtype="<f8").astype(float)
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    return {k: part.reshape(p.value.shape)
-            for (k, p), part in zip(params.items(), parts)}
+    parts = np.split(_decode_flat(text, sum(sizes), what), np.cumsum(sizes)[:-1])
+    return {k: a.reshape(p.value.shape) for (k, p), a in zip(params.items(), parts)}
 
 
 # ---------------------------------------------------------------------------

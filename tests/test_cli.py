@@ -332,10 +332,16 @@ def degenerate_line(q_6d):
     (episode_line(step(obs_value="0.71")), "line 1"),
     (episode_line(step(), q_6d=["1", 0, 0, 0, 1, 0]), "line 1"),
     (episode_line(step(), schema_version=True), "line 1"),
+    # JSON true/false among numbers: np.array would read them as 1 and 0
+    (episode_line(step()) + episode_line(
+        {"obs": [True] + [0.0] * 14, "action": [0.0] * 7}), "line 2"),
+    (episode_line({"obs": [0.0] * 15, "action": [0.0] * 6 + [False]}), "line 1"),
+    (episode_line(step(), q_6d=[1, 0, 0, 0, 1, False]), "line 1"),
 ], ids=["empty", "degenerate_q_6d", "no_steps", "ragged_obs", "action_width",
         "nan_obs", "not_object", "missing_steps", "missing_action", "bad_json",
         "null_q_6d", "degenerate_q_6d_line_2", "list_task", "string_obs",
-        "string_q_6d", "bool_schema_version"])
+        "string_q_6d", "bool_schema_version", "bool_in_obs", "bool_in_action",
+        "bool_in_q_6d"])
 def test_train_rejects_bad_dataset(tmp_path, capsys, content, where):
     data = tmp_path / "data.jsonl"
     data.write_text(content)

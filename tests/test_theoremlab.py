@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from mcfproto import autodiff as ad
+from mcfproto import so3, trainer
 from mcfproto import theoremlab as tl
-from mcfproto import so3
 
 
 SIGMA_DIAG = np.diag([4.0, 1.0, 0.25])
@@ -167,6 +168,45 @@ def test_restart_axis_matches_per_matrix_calls(dim):
         R_one, j_one = tl._minimize(sigma, tl.GAUSSIAN_C, theta0[None], dim)
         assert np.array_equal(R[row], R_one[0])
         assert j[row] == j_one[0]
+
+
+def reference_minimize(sigma, c, theta0, dim, iters=400, lr=0.05):
+    """_minimize as written before its index tables were built once: every
+    step calls np.triu_indices and np.eye afresh."""
+    def cayley(theta):
+        A = np.zeros(theta.shape[:-1] + (dim, dim))
+        A[(..., *np.triu_indices(dim, 1))] = theta
+        A -= np.swapaxes(A, -1, -2)
+        eye = np.eye(dim)
+        return np.linalg.solve(eye - A, eye + A)
+
+    def body_grad(R):
+        M = np.swapaxes(R, -1, -2) @ sigma @ R
+        H = M / np.sqrt(np.diagonal(M, axis1=-2, axis2=-1))[..., None, :]
+        return 2.0 * c * (H - np.swapaxes(H, -1, -2))[
+            (..., *np.triu_indices(dim, 1))]
+
+    R = cayley(theta0)
+    theta = ad.Param(np.zeros_like(theta0), "theta")
+    cfg = trainer.TrainConfig(steps=iters, warmup=0, lr=lr, weight_decay=0.0)
+    opt = trainer.AdamW({"theta": theta}, cfg)
+    for t in range(iters):
+        theta.value[:] = 0.0
+        theta.grad = body_grad(R)
+        opt.step(trainer.cosine_lr(t, cfg))
+        R = R @ cayley(theta.value)
+    return R, np.array([tl.j_closed_form(r, sigma, c) for r in R])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_minimize_matches_reference_loop_bitwise(dim):
+    rng = np.random.default_rng(40 + dim)
+    sigma = tl.random_spd(rng, dim)
+    thetas = rng.normal(0.0, 0.5, (3, dim * (dim - 1) // 2))
+    R, j = tl._minimize(sigma, tl.GAUSSIAN_C, thetas, dim)
+    R_ref, j_ref = reference_minimize(sigma, tl.GAUSSIAN_C, thetas, dim)
+    assert R.tobytes() == R_ref.tobytes()
+    assert j.tobytes() == j_ref.tobytes()
 
 
 def test_alignment_report_degenerate_eigenspace():

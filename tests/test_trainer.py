@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from mcfproto import autodiff as ad
 from mcfproto import diagnostics, head, so3, synthgym, trainer
 
 
@@ -237,14 +238,109 @@ def test_adamw_state_roundtrip_exact():
             p.grad = rng.normal(size=p.value.shape)
         opt.step(1e-3)
     state = json.loads(json.dumps(opt.state()))
+    # the moments are flat: the tensors' moments concatenated in parameter order
     flat = np.frombuffer(base64.b64decode(state["m"]), dtype="<f8")
-    assert np.array_equal(flat, np.concatenate([opt.m[k].ravel() for k in params]))
+    assert np.array_equal(flat, opt.m)
     other = trainer.AdamW(params, tc)
     other.load_state(state)
     assert other.step_count == opt.step_count == 3
-    for k in params:
-        assert np.array_equal(other.m[k], opt.m[k])
-        assert np.array_equal(other.v[k], opt.v[k])
+    assert other.m.tobytes() == opt.m.tobytes()
+    assert other.v.tobytes() == opt.v.tobytes()
+
+
+class PerTensorAdamW:
+    """The per-tensor AdamW loop that the flat trainer.AdamW replaced: the
+    reference it must match bit for bit."""
+
+    def __init__(self, params, config):
+        self.params, self.cfg, self.step_count = params, config, 0
+        self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
+
+    def step(self, lr):
+        self.step_count += 1
+        c = self.cfg
+        bc1 = 1.0 - c.beta1 ** self.step_count
+        bc2 = 1.0 - c.beta2 ** self.step_count
+        for k, p in self.params.items():
+            g = p.grad
+            self.m[k] = c.beta1 * self.m[k] + (1.0 - c.beta1) * g
+            self.v[k] = c.beta2 * self.v[k] + (1.0 - c.beta2) * g * g
+            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + c.eps)
+            if k.startswith("scale_"):
+                decay = c.weight_decay_scale
+            elif k.startswith("dict_"):
+                decay = 0.0
+            else:
+                decay = c.weight_decay
+            if decay > 0:
+                update = update + decay * p.value
+            p.value -= lr * update
+
+    def state(self):
+        return {"step_count": self.step_count,
+                "m": trainer.encode_f8(self.m[k] for k in self.params),
+                "v": trainer.encode_f8(self.v[k] for k in self.params)}
+
+
+def signed_zero_grads(rng, shape):
+    """Normal draws with about a fifth of them exactly 0.0 and -0.0."""
+    g = rng.normal(size=shape)
+    u = rng.uniform(size=shape)
+    g[u < 0.1] = 0.0
+    g[(u >= 0.1) & (u < 0.2)] = -0.0
+    return g
+
+
+def test_flat_adamw_matches_per_tensor_loop_bitwise():
+    hc, _ = tiny_configs()
+    tc = trainer.TrainConfig(steps=10, warmup=0, weight_decay=0.03,
+                             weight_decay_scale=0.7)
+    ref_params, params = (head.init_params(hc, np.random.default_rng(6))
+                          for _ in range(2))
+    ref, opt = PerTensorAdamW(ref_params, tc), trainer.AdamW(params, tc)
+    zeros = ("enc.w1", "scale_t.w", "dict_trans")  # one of each decay group
+    for k in zeros:  # signed zeros in values and moments, kept by -0.0 grads
+        for ps in (ref_params, params):
+            ps[k].value.reshape(-1)[:3] = [0.0, -0.0, -0.0]
+        ref.m[k].reshape(-1)[:3] = -0.0
+    opt.load_state(ref.state())
+    for ps in (ref_params, params):  # undecayed: a "+ 0 * inf" would make it nan
+        ps["dict_trans"].value.reshape(-1)[3] = np.inf
+    rng = np.random.default_rng(7)
+    for step in range(6):
+        for k, p in params.items():
+            p.grad = signed_zero_grads(rng, p.value.shape)
+            if k in zeros:
+                p.grad.reshape(-1)[:3] = -0.0
+            ref_params[k].grad = p.grad.copy()
+        lr = trainer.cosine_lr(step, tc) + 1e-3
+        ref.step(lr)
+        opt.step(lr)
+        for k in params:
+            assert params[k].value.tobytes() == ref_params[k].value.tobytes(), k
+        assert opt.m.tobytes() == np.concatenate(list(ref.m.values()), None).tobytes()
+        assert opt.v.tobytes() == np.concatenate(list(ref.v.values()), None).tobytes()
+        assert opt.state() == ref.state()
+
+
+def test_flat_adamw_one_rebound_tensor_matches_per_tensor_loop():
+    # as theoremlab._minimize drives it: the value reset in place, the
+    # gradient a new array every step
+    tc = trainer.TrainConfig(steps=10, warmup=0, weight_decay=0.1)
+    ref_theta, theta = (ad.Param(np.zeros((3, 6)), "theta") for _ in range(2))
+    ref = PerTensorAdamW({"theta": ref_theta}, tc)
+    opt = trainer.AdamW({"theta": theta}, tc)
+    rng = np.random.default_rng(8)
+    for step in range(6):
+        theta.value[:] = 0.0
+        ref_theta.value[:] = 0.0
+        theta.grad = signed_zero_grads(rng, (3, 6))
+        ref_theta.grad = theta.grad.copy()
+        ref.step(0.05)
+        opt.step(0.05)
+        assert theta.value.tobytes() == ref_theta.value.tobytes()
+        assert opt.state() == ref.state()
 
 
 def test_final_checkpoint_copies_last_periodic(tmp_path):
