@@ -346,12 +346,12 @@ def backward(loss):
     grads = {loss: np.array(1.0)}  # keyed by the node: Node hashes by identity
     for node in reversed(order):
         g = grads.pop(node, None)
-        if g is None or node.backward_fn is None:
-            if g is not None and isinstance(node, Param):
-                node.grad += g
+        if g is None:
             continue
         if isinstance(node, Param):
             node.grad += g
+        if node.backward_fn is None:
+            continue
         parent_grads = node.backward_fn(np.asarray(g))
         for p, pg in zip(node.parents, parent_grads):
             acc = grads.get(p)

@@ -8,17 +8,13 @@ Exit codes: 0 success, 1 validation failure, 2 runtime/numerical failure.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
-from . import diagnostics, synthgym, theoremlab, trainer
-from .head import (HeadConfig, atomic_open, check_config, load_checkpoint,
-                   load_json_object)
+from . import diagnostics, store, synthgym, theoremlab, trainer
+from .head import HeadConfig, check_config, load_checkpoint
 from .trainer import TrainConfig
 
 EXIT_OK = 0
@@ -56,7 +52,7 @@ def load_config(path, overrides=None):
     from `overrides`, {"section.key": value} with None for a flag not given.
     Raises ValueError naming the first key whose value is not allowed."""
     merged = default_config()
-    doc = {} if path is None else load_json_object(path, "config")
+    doc = {} if path is None else store.load_json_object(path, "config")
     for section, values in doc.items():
         if section not in merged:
             raise ConfigError(f"unknown config section: {section!r}")
@@ -75,16 +71,6 @@ def load_config(path, overrides=None):
     return merged
 
 
-def write_resolved(cfg, out_dir, name="config.resolved.json"):
-    os.makedirs(out_dir, exist_ok=True)
-    with atomic_open(os.path.join(out_dir, name)) as f:
-        f.write(json.dumps(cfg, indent=2))
-
-
-def _float_repr(x):
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -98,7 +84,7 @@ def cmd_gen_data(args):
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
     synthgym.save_jsonl(dataset, args.out)
-    write_resolved(cfg, out_dir, name=os.path.basename(args.out) + ".config.json")
+    store.write_json(args.out + ".config.json", cfg)
     print(f"wrote {len(dataset.episodes)} episodes to {args.out}")
     return EXIT_OK
 
@@ -112,7 +98,8 @@ def cmd_train(args):
         raise ConfigError(
             f"dataset obs dim {dataset.obs_dim} != head.obs_dim {hc.obs_dim}"
         )
-    write_resolved(cfg, args.out)
+    os.makedirs(args.out, exist_ok=True)
+    store.write_json(os.path.join(args.out, "config.resolved.json"), cfg)
     _, _, (best_val, best_step) = trainer.train(
         dataset, hc, tc, out_dir=args.out, resume=args.resume)
     print(f"best val_loss_act {best_val!r} at step {best_step}")
@@ -124,7 +111,8 @@ def cmd_ablate(args):
     dataset = synthgym.load_jsonl(args.data)
     hc = HeadConfig(**cfg["head"])
     tc = TrainConfig(**cfg["train"])
-    write_resolved(cfg, args.out)
+    os.makedirs(args.out, exist_ok=True)
+    store.write_json(os.path.join(args.out, "config.resolved.json"), cfg)
     out_csv = os.path.join(args.out, "ablation.csv")
     results = trainer.ablation_suite(dataset, hc, tc, seeds=args.seeds,
                                      out_path=out_csv)
@@ -147,18 +135,9 @@ def cmd_diagnose(args):
             f"dataset obs dim {dataset.obs_dim} != checkpoint obs_dim {hc.obs_dim}"
         )
     os.makedirs(args.out, exist_ok=True)
-    write_resolved(cfg, args.out)
-    report = diagnostics.diagnose(dataset, params, hc, cfg["diagnostics"])
-    _write_concentration_csv(os.path.join(args.out, "concentration.csv"),
-                             report["concentration"])
-    _write_compat_csv(os.path.join(args.out, "compatibility.csv"),
-                      report["compatibility"])
-    _write_usage_csv(os.path.join(args.out, "usage_matrix.csv"),
-                     report["usage_matrix"])
-    _write_timeline_csv(os.path.join(args.out, "axis_timeline.csv"),
-                        report["axis_timelines"])
-    with atomic_open(os.path.join(args.out, "report.json")) as f:
-        f.write(json.dumps(_to_jsonable({"schema_version": 1, **report}), indent=2))
+    store.write_json(os.path.join(args.out, "config.resolved.json"), cfg)
+    write_diagnose(args.out, diagnostics.diagnose(dataset, params, hc,
+                                                  cfg["diagnostics"]))
     print(f"diagnostics written to {args.out}")
     return EXIT_OK
 
@@ -177,8 +156,7 @@ def cmd_verify_theorem(args):
         )
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with atomic_open(os.path.join(args.out, "theorem_report.json")) as f:
-            f.write(json.dumps(_to_jsonable(result), indent=2))
+        store.write_json(os.path.join(args.out, "theorem_report.json"), result)
     print("overall:", "pass" if result["pass"] else "FAIL")
     return EXIT_OK if result["pass"] else EXIT_RUNTIME
 
@@ -187,66 +165,41 @@ def cmd_verify_theorem(args):
 # report writers
 # ---------------------------------------------------------------------------
 
-def _to_jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
+def write_diagnose(out_dir, report):
+    """Write `report`, a diagnostics.diagnose result, into `out_dir`: its four
+    CSVs and report.json."""
+    def path(name):
+        return os.path.join(out_dir, name)
 
-
-def _write_concentration_csv(path, conc):
     metrics = ["covariance_trace", "avg_pairwise_distance", "pca_top3_ev",
                "effective_rank"]
-    with atomic_open(path) as f:
-        w = csv.writer(f)
-        w.writerow(["frame", "task"] + metrics)
-        for frame_name, stats in conc.items():
-            for task, vals in stats["per_task"].items():
-                w.writerow([frame_name, task] + [_float_repr(vals[m]) for m in metrics])
-            w.writerow([frame_name, "__mean__"]
-                       + [_float_repr(stats["summary"][m]["mean"]) for m in metrics])
-            w.writerow([frame_name, "__std__"]
-                       + [_float_repr(stats["summary"][m]["std"]) for m in metrics])
-
-
-def _write_compat_csv(path, compat):
-    with atomic_open(path) as f:
-        w = csv.writer(f)
-        w.writerow(["frames", "task", "mean_deg", "std_deg", "n_steps"])
-        for name in ("learned", "ground_truth", "random"):
-            for task, v in compat[name]["per_task"].items():
-                w.writerow([
-                    name, task,
-                    "" if v["mean_deg"] is None else _float_repr(v["mean_deg"]),
-                    "" if v["std_deg"] is None else _float_repr(v["std_deg"]),
-                    v["n_steps"],
-                ])
-
-
-def _write_usage_csv(path, usage):
-    with atomic_open(path) as f:
-        w = csv.writer(f)
-        k = max(usage["trans"].shape[1], usage["rot"].shape[1])
-        w.writerow(["dictionary", "task"] + [f"proto_{i}" for i in range(k)])
-        for kind in ("trans", "rot"):  # the smaller dictionary's last cells are empty
-            for task, row in zip(usage["tasks"], usage[kind]):
-                w.writerow([kind, task] + [_float_repr(x) for x in row]
-                           + [""] * (k - len(row)))
-
-
-def _write_timeline_csv(path, timelines):
-    with atomic_open(path) as f:
-        w = csv.writer(f)
-        w.writerow(["task", "block", "bin", "x", "y", "z"])
-        for task, tl in timelines.items():
-            for block in ("trans", "rot"):
-                for b, row in enumerate(tl[block]):
-                    w.writerow([task, block, b] + [_float_repr(x) for x in row])
+    rows = []
+    for frame, stats in report["concentration"].items():
+        rows += [[frame, task] + [vals[m] for m in metrics]
+                 for task, vals in stats["per_task"].items()]
+        rows += [[frame, f"__{s}__"] + [stats["summary"][m][s] for m in metrics]
+                 for s in ("mean", "std")]
+    store.write_csv(path("concentration.csv"), ["frame", "task"] + metrics, rows)
+    store.write_csv(path("compatibility.csv"),
+                    ["frames", "task", "mean_deg", "std_deg", "n_steps"],
+                    [[name, task, v["mean_deg"], v["std_deg"], v["n_steps"]]
+                     for name in ("learned", "ground_truth", "random")
+                     for task, v in report["compatibility"][name]["per_task"].items()])
+    usage = report["usage_matrix"]
+    # one column per prototype of the larger dictionary; the smaller one's
+    # rows end in empty cells
+    k = max(usage["trans"].shape[1], usage["rot"].shape[1])
+    store.write_csv(path("usage_matrix.csv"),
+                    ["dictionary", "task"] + [f"proto_{i}" for i in range(k)],
+                    [[kind, task, *row] + [None] * (k - len(row))
+                     for kind in ("trans", "rot")
+                     for task, row in zip(usage["tasks"], usage[kind])])
+    store.write_csv(path("axis_timeline.csv"), ["task", "block", "bin", "x", "y", "z"],
+                    [[task, block, b, *row]
+                     for task, timeline in report["axis_timelines"].items()
+                     for block in ("trans", "rot")
+                     for b, row in enumerate(timeline[block])])
+    store.write_json(path("report.json"), {"schema_version": 1, **report})
 
 
 # ---------------------------------------------------------------------------

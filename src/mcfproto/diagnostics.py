@@ -23,7 +23,7 @@ _CHUNK = 256
 # ---------------------------------------------------------------------------
 
 def _spectrum(actions):
-    cov = linalg.covariance(actions, centered=True)
+    cov = linalg.covariance(actions)
     lam = np.maximum(linalg.sym_eigen(cov).values, 0.0)
     return cov, lam
 
@@ -129,7 +129,7 @@ def compatibility(steps_by_task, min_displacement=None):
     }
 
 
-def random_min_angle_mc(n=10 ** 6, seed=0):
+def random_min_angle_mc(n, seed=0):
     """Monte-Carlo E[arccos(max_i |v_i|)] in degrees for uniform v on S^2.
 
     Baseline for compatibility of random frames against random directions.

@@ -13,15 +13,14 @@ reduces prototype composition to a single linear map (the softmax of one
 logit is identically [1]).
 """
 
-import contextlib
 import json
 import math
-import os
 from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
 from . import autodiff as ad
+from . import store
 
 CHECKPOINT_SCHEMA = 2
 
@@ -319,21 +318,6 @@ def loss_total(obs, targets, params, config):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-@contextlib.contextmanager
-def atomic_open(path):
-    """Write `path` via a temporary file moved onto it: a crash keeps the old
-    file and removes the temporary one."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
-
-
 def _write_json(obj, f):
     """Write json.dumps(obj) one dict entry at a time, never all of its text."""
     if not isinstance(obj, dict):
@@ -354,7 +338,7 @@ def save_checkpoint(path, params, config, extra=None):
     }
     if extra:
         doc["extra"] = extra
-    with atomic_open(path) as f:
+    with store.atomic_open(path) as f:
         _write_json(doc, f)
 
 
@@ -391,25 +375,13 @@ def check_config(section, values, defaults):
             raise ValueError(error)
 
 
-def load_json_object(path, what):
-    """The JSON object in file `path`; else a ValueError naming `what` and `path`."""
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except ValueError as exc:
-            raise ValueError(f"{what} {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} {path}: not a JSON object")
-    return doc
-
-
 def load_checkpoint(path):
     """Read a save_checkpoint document: (params, config, extra). Raises
     ValueError naming `path` when it is not one for a head of its config."""
     def invalid(what):
         return ValueError(f"checkpoint {path}: {what}")
 
-    doc = load_json_object(path, "checkpoint")
+    doc = store.load_json_object(path, "checkpoint")
     if doc.get("schema_version") != CHECKPOINT_SCHEMA:
         raise invalid(f"unsupported checkpoint schema: {doc.get('schema_version')}")
     for key in ("config", "params"):
@@ -417,14 +389,16 @@ def load_checkpoint(path):
             raise invalid(f"no {key!r} object")
     try:
         config = HeadConfig(**doc["config"])
-        params = {k: ad.Param(np.array(v, dtype=float), k)
-                  for k, v in doc["params"].items()}
     except (TypeError, ValueError) as exc:
         raise invalid(str(exc)) from exc
     expected = init_params(config, np.random.default_rng(0))
-    if set(params) != set(expected):
-        raise invalid(f"tensors {sorted(params)} are not {sorted(expected)}")
+    if set(doc["params"]) != set(expected):
+        raise invalid(f"tensors {sorted(doc['params'])} are not {sorted(expected)}")
+    params = {}
     for k, p in expected.items():
-        if params[k].shape != p.shape:
-            raise invalid(f"tensor {k} has shape {params[k].shape}, not {p.shape}")
+        value = store.numbers(doc["params"][k], f"tensor {k}", f"checkpoint {path}",
+                              p.value.ndim, bools=True)
+        if value.shape != p.shape:
+            raise invalid(f"tensor {k} has shape {value.shape}, not {p.shape}")
+        params[k] = ad.Param(value, k)
     return params, config, doc.get("extra")

@@ -58,11 +58,10 @@ def sym_eigen(A):
     return SymmetricEigen(values=w, vectors=V)
 
 
-def covariance(samples, centered=True):
-    """Unbiased (N-1 denominator) sample covariance matrix.
+def covariance(samples):
+    """Unbiased (N-1 denominator) sample covariance about the sample mean.
 
     samples: (N, dim) array or sequence of equal-length vectors.
-    centered=True subtracts the sample mean first.
     """
     X = check_finite(np.asarray(samples, dtype=float), "samples")
     if X.ndim != 2:
@@ -70,7 +69,6 @@ def covariance(samples, centered=True):
     n = X.shape[0]
     if n < 2:
         raise LinalgError("covariance needs at least 2 samples")
-    if centered:
-        X = X - X.mean(axis=0)
+    X = X - X.mean(axis=0)
     return (X.T @ X) / (n - 1)
 

@@ -15,8 +15,8 @@ from itertools import islice
 
 import numpy as np
 
-from . import so3
-from .head import ACTION_DIM, atomic_open
+from . import so3, store
+from .head import ACTION_DIM
 
 SCHEMA_VERSION = 1
 DEFAULT_MAX_STEP = 0.05
@@ -212,7 +212,7 @@ def save_jsonl(dataset, path):
         if ep.obs.shape[1] != width:
             raise ValueError(f"episode {i}: obs width {ep.obs.shape[1]} differs "
                              f"from episode 0's {width}")
-    with atomic_open(path) as f:
+    with store.atomic_open(path) as f:
         for lo in range(0, len(eps), _BATCH):
             batch = eps[lo:lo + _BATCH]
             rows = np.concatenate([np.concatenate([ep.obs, ep.actions], axis=1)
@@ -242,24 +242,6 @@ def _field(doc, key, where):
     return doc[key]
 
 
-def _numbers(value, what, where, ndim, bools=False):
-    """`value` as a finite float array of `ndim` dims, if it holds only JSON
-    numbers (in equally wide rows); with `bools`, no JSON true or false."""
-    try:
-        arr = np.array(value)
-    except ValueError:  # ragged rows
-        arr = np.array(None)
-    if arr.dtype.kind not in "iuf" or arr.ndim != ndim:
-        raise ValueError(f"{where}: {what} " + ("is not a list" if ndim == 1 else
-                         "rows are not equally wide lists") + " of numbers")
-    if bools and any(type(x) is bool for x in np.array(value, dtype=object).flat):
-        raise ValueError(f"{where}: {what} holds a boolean, not a number")
-    arr = arr.astype(float, copy=False)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{where}: non-finite {what} value")
-    return arr
-
-
 def load_jsonl(path):
     episodes = []
     task_names = []
@@ -281,19 +263,19 @@ def load_jsonl(path):
                 raise ValueError(f"{where}: task is not a string: {task!r}")
             if task not in task_names:
                 task_names.append(task)
-            # np.array reads true and false as 1 and 0; no key holds a u or an f
-            bools = "u" in line and "true" in line or "f" in line and "false" in line
-            q6s.append(_numbers(_field(doc, "q_6d", where), "q_6d", where, 1, bools))
+            bools = "true" in line or "false" in line  # only then look for them
+            q6s.append(store.numbers(_field(doc, "q_6d", where), "q_6d", where, 1,
+                                     bools))
             if len(q6s[-1]) != 6:
                 raise ValueError(f"{where}: q_6d holds {len(q6s[-1])} numbers, not 6")
             wheres.append(where)
             steps = _field(doc, "steps", where)
             if not steps:
                 raise ValueError(f"{where}: episode has no steps")
-            obs = _numbers([_field(s, "obs", where) for s in steps], "obs", where,
-                           2, bools)
-            actions = _numbers([_field(s, "action", where) for s in steps],
-                               "action", where, 2, bools)
+            obs = store.numbers([_field(s, "obs", where) for s in steps], "obs",
+                                where, 2, bools)
+            actions = store.numbers([_field(s, "action", where) for s in steps],
+                                    "action", where, 2, bools)
             if episodes and obs.shape[1] != episodes[0].obs.shape[1]:
                 raise ValueError(f"{where}: obs width {obs.shape[1]} differs from "
                                  f"{episodes[0].obs.shape[1]} on earlier lines")

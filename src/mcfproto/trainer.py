@@ -7,8 +7,6 @@ same batch sequence and two runs with the same seed/config produce
 bitwise-identical metric logs.
 """
 
-import base64
-import csv
 import logging
 import os
 import reprlib
@@ -19,6 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import head as head_mod
+from . import store
 
 log = logging.getLogger(__name__)
 
@@ -122,9 +121,9 @@ class AdamW:
         self.flat -= np.multiply(lr, update, out=update)
 
     def state(self):
-        """step_count, and the moments m and v each as one encode_f8 string."""
+        """step_count, and the moments m and v each as one base64 "<f8" string."""
         return {"step_count": self.step_count,
-                "m": encode_f8([self.m]), "v": encode_f8([self.v])}
+                "m": store.encode_f8([self.m]), "v": store.encode_f8([self.v])}
 
     def load_state(self, state):
         """Inverse of state(). Raises ValueError when `state` is not one for
@@ -134,39 +133,10 @@ class AdamW:
         step_count = state.get("step_count")
         if not _is_int(step_count):
             raise ValueError(f"optimizer step_count {step_count!r} is not an integer")
-        self.m, self.v = (_decode_flat(state.get(key), self.flat.size,
-                                       f"optimizer moment {key!r}")
+        self.m, self.v = (store.decode_f8(state.get(key), [self.flat.shape],
+                                          f"optimizer moment {key!r}")[0]
                           for key in ("m", "v"))
         self.step_count = step_count
-
-
-def encode_f8(arrays):
-    """The arrays as one base64 string of little-endian float64 ("<f8"),
-    concatenated in order: exact, and far smaller and faster to write than
-    repr lists."""
-    flat = np.concatenate([a.ravel() for a in arrays])
-    return base64.b64encode(flat.astype("<f8").tobytes()).decode("ascii")
-
-
-def _decode_flat(text, size, what):
-    """Inverse of encode_f8 for `size` floats, as one flat array."""
-    if not isinstance(text, str):
-        raise ValueError(f"{what} is not a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:
-        raise ValueError(f"{what} is not valid base64: {exc}") from exc
-    if len(raw) != 8 * size:
-        raise ValueError(f"{what} holds {len(raw)} bytes, not 8 x {size} parameters")
-    return np.frombuffer(raw, dtype="<f8").astype(float)
-
-
-def decode_f8(text, params, what):
-    """Inverse of encode_f8 for arrays shaped like `params`, in their order:
-    {name: array}. Raises ValueError naming `what` when `text` is not one."""
-    sizes = [p.value.size for p in params.values()]
-    parts = np.split(_decode_flat(text, sum(sizes), what), np.cumsum(sizes)[:-1])
-    return {k: a.reshape(p.value.shape) for (k, p), a in zip(params.items(), parts)}
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +244,10 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
                                  f"got {got}")
         try:
             opt.load_state(extra["optimizer"])
+            shapes = [p.shape for p in params.values()]
             best_snapshot = (  # unless they are this checkpoint's own params
-                decode_f8(extra.get("best_params"), params, "best_params")
+                dict(zip(params, store.decode_f8(extra.get("best_params"), shapes,
+                                                 "best_params")))
                 if "best_params" in extra or best_step != start_step
                 else {k: p.value.copy() for k, p in params.items()})
         except ValueError as exc:
@@ -283,11 +255,7 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
 
     def write_metrics():
         """metrics.csv, whole: a crash leaves the last complete log."""
-        with head_mod.atomic_open(os.path.join(out_dir, "metrics.csv")) as f:
-            writer = csv.writer(f)
-            writer.writerow(METRIC_COLUMNS)
-            writer.writerows([repr(x) if isinstance(x, float) else x for x in row]
-                             for row in rows)
+        store.write_csv(os.path.join(out_dir, "metrics.csv"), METRIC_COLUMNS, rows)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -297,7 +265,7 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
         state = {"step": step, "optimizer": opt.state(), "best_val": best_val,
                  "best_step": best_step, "metrics": rows}
         if best_step != step:  # else the best parameters are `params`
-            state["best_params"] = encode_f8(best_snapshot.values())
+            state["best_params"] = store.encode_f8(best_snapshot.values())
         return state
 
     n_chunks = len(tr_obs)
@@ -340,7 +308,7 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
         final = os.path.join(out_dir, "ckpt_final.json")
         if last_ckpt is not None:
             # the same document: copy its bytes instead of serializing it again
-            with open(last_ckpt) as src, head_mod.atomic_open(final) as dst:
+            with open(last_ckpt) as src, store.atomic_open(final) as dst:
                 shutil.copyfileobj(src, dst)
         else:
             head_mod.save_checkpoint(final, params, hc, extra=resume_state(tc.steps))
@@ -413,17 +381,9 @@ def ablation_suite(dataset, head_config, train_config, seeds=(0, 1, 2),
         }
         results.append(row)
     if out_path is not None:
-        with head_mod.atomic_open(out_path) as f:
-            w = csv.writer(f)
-            w.writerow(["row", "mean_val_loss_act", "std", "n_seeds", "seeds",
-                        "per_seed"])
-            for r in results:
-                w.writerow([
-                    r["row"],
-                    repr(r["mean"]) if r["mean"] is not None else "",
-                    repr(r["std"]) if r["std"] is not None else "",
-                    len(r["val_loss_act"]),
-                    " ".join(str(s) for s in r["seeds"]),
-                    " ".join(repr(v) for v in r["val_loss_act"]),
-                ])
+        header = ["row", "mean_val_loss_act", "std", "n_seeds", "seeds", "per_seed"]
+        store.write_csv(out_path, header, [
+            [r["row"], r["mean"], r["std"], len(r["val_loss_act"]),
+             " ".join(str(s) for s in r["seeds"]),
+             " ".join(repr(v) for v in r["val_loss_act"])] for r in results])
     return results

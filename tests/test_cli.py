@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from mcfproto import cli, diagnostics, head, linalg, so3, synthgym, trainer
+from mcfproto import cli, diagnostics, head, linalg, so3, store, synthgym, trainer
 
 
 def run_cli(args):
@@ -189,28 +189,25 @@ def per_episode_diagnose(data, ckpt, out_dir, time_bins):
             b = min(i * time_bins // len(loc), time_bins - 1)
             counts[ep.task][0, b, np.abs(row[:3]).argmax()] += 1
             counts[ep.task][1, b, np.abs(row[3:]).argmax()] += 1
-    cli._write_concentration_csv(out_dir / "concentration.csv", {
-        "world": diagnostics.concentration(
-            {t: np.concatenate(v) for t, v in world.items()}),
-        "canonical": diagnostics.concentration(
-            {t: np.concatenate(v) for t, v in canonical.items()}),
-        "learned_local": diagnostics.concentration(
-            {t: np.concatenate(v) for t, v in local.items()}),
-    })
-    cli._write_compat_csv(out_dir / "compatibility.csv", {
-        name: diagnostics.compatibility(
-            {t: tuple(map(np.concatenate, zip(*v))) for t, v in p.items()})
-        for name, p in pairs.items()})
     usage = {"tasks": ds.task_names}
     for j, kind in enumerate(("trans", "rot")):
         usage[kind] = np.array([
             sum(g[j].sum(axis=0) for g in gating[t])
             / sum(len(g[j]) for g in gating[t]) for t in ds.task_names])
-    cli._write_usage_csv(out_dir / "usage_matrix.csv", usage)
-    cli._write_timeline_csv(out_dir / "axis_timeline.csv", {
-        t: {"trans": c[0] / c[0].sum(axis=1, keepdims=True),
-            "rot": c[1] / c[1].sum(axis=1, keepdims=True)}
-        for t, c in counts.items()})
+    cli.write_diagnose(str(out_dir), {
+        "concentration": {name: diagnostics.concentration(
+            {t: np.concatenate(v) for t, v in steps.items()})
+            for name, steps in (("world", world), ("canonical", canonical),
+                                ("learned_local", local))},
+        "compatibility": {name: diagnostics.compatibility(
+            {t: tuple(map(np.concatenate, zip(*v))) for t, v in p.items()})
+            for name, p in pairs.items()},
+        "usage_matrix": usage,
+        "axis_timelines": {
+            t: {"trans": c[0] / c[0].sum(axis=1, keepdims=True),
+                "rot": c[1] / c[1].sum(axis=1, keepdims=True)}
+            for t, c in counts.items()},
+    })
 
 
 def test_diagnose_matches_per_episode_reference(tmp_path, monkeypatch):
@@ -524,6 +521,38 @@ def test_resume_rejects_malformed_counters(tmp_path, capsys, key, value):
     assert str(ckpt) in err and key in err and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def periodic_run(tmp_path_factory):
+    """(data, config, run dir) of a 10-step run with a checkpoint at step 5."""
+    tmp = tmp_path_factory.mktemp("periodic")
+    cfg = small_config(tmp, train={"steps": 10, "warmup": 2, "eval_interval": 5,
+                                   "ckpt_interval": 5})
+    data = str(tmp / "data.jsonl")
+    assert run_cli(["gen-data", "--config", cfg, "--out", data]) == cli.EXIT_OK
+    assert run_cli(["train", "--data", data, "--config", cfg,
+                    "--out", str(tmp / "run")]) == cli.EXIT_OK
+    return data, cfg, tmp / "run"
+
+
+@pytest.mark.parametrize("command", ["diagnose", "resume"])
+@pytest.mark.parametrize("value", [None, True, "1.5", float("nan"), float("inf")],
+                         ids=["null", "true", "string", "NaN", "Infinity"])
+def test_checkpoint_params_must_be_finite_numbers(periodic_run, tmp_path, capsys,
+                                                  command, value):
+    data, cfg, run_dir = periodic_run
+    doc = json.loads((run_dir / "ckpt_5.json").read_text())
+    doc["params"]["gate_t.w"][1][2] = value
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    args = (["diagnose", "--ckpt"] if command == "diagnose" else ["train", "--resume"])
+    assert run_cli(args + [str(ckpt), "--data", data, "--config", cfg,
+                           "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ckpt}: ")
+    assert "tensor gate_t.w" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, value", [("eval_interval", 0), ("ckpt_interval", -1),
                                         ("batch_size", 0), ("warmup", 31)])
 def test_train_rejects_out_of_range_interval(tmp_path, capsys, key, value):
@@ -695,7 +724,7 @@ def test_diagnose_crash_keeps_old_report(tmp_path, monkeypatch):
         # the report's contents are formed while its file is open for writing
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli, "_to_jsonable", disk_full)
+    monkeypatch.setattr(store, "_jsonable", disk_full)
     assert run_cli(diagnose) == cli.EXIT_RUNTIME
     assert report.read_bytes() == before
     assert not os.path.exists(f"{report}.tmp")

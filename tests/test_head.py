@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mcfproto import autodiff as ad
-from mcfproto import head, so3
+from mcfproto import head, so3, store
 
 
 def small_config(**kw):
@@ -259,7 +259,7 @@ def test_checkpoint_crash_keeps_old_file(tmp_path, monkeypatch):
             raise OSError("disk full")
 
     real_open = open
-    monkeypatch.setattr(head, "open", lambda p, mode="r": DiskFull(real_open(p, mode)),
+    monkeypatch.setattr(store, "open", lambda p, mode="r": DiskFull(real_open(p, mode)),
                         raising=False)
     with pytest.raises(OSError):
         head.save_checkpoint(path, params, cfg, extra={"step": 4})

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mcfproto import head, so3, synthgym
+from mcfproto import so3, store, synthgym
 
 
 def test_five_distinct_templates():
@@ -283,7 +283,7 @@ def test_jsonl_crash_keeps_old_file(tmp_path, monkeypatch):
             return self.f.write(text)
 
     real_open = open
-    monkeypatch.setattr(head, "open", lambda p, mode="r": DiskFull(real_open(p, mode)),
+    monkeypatch.setattr(store, "open", lambda p, mode="r": DiskFull(real_open(p, mode)),
                         raising=False)
     with pytest.raises(OSError):
         synthgym.save_jsonl(other, str(path))

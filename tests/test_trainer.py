@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mcfproto import autodiff as ad
-from mcfproto import diagnostics, head, so3, synthgym, trainer
+from mcfproto import diagnostics, head, so3, store, synthgym, trainer
 
 
 def tiny_dataset(seed=0, episodes=6):
@@ -279,8 +279,8 @@ class PerTensorAdamW:
 
     def state(self):
         return {"step_count": self.step_count,
-                "m": trainer.encode_f8(self.m[k] for k in self.params),
-                "v": trainer.encode_f8(self.v[k] for k in self.params)}
+                "m": store.encode_f8(self.m[k] for k in self.params),
+                "v": store.encode_f8(self.v[k] for k in self.params)}
 
 
 def signed_zero_grads(rng, shape):
