@@ -11,64 +11,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from . import diagnostics, store, synthgym, theoremlab, trainer
-from .head import HeadConfig, check_config, load_checkpoint
-from .trainer import TrainConfig
+from .config import HeadConfig, TrainConfig, default_config, load_config
+from .head import load_checkpoint
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 DEFAULT_OUT_ROOT_ENV = "MCFPROTO_OUT"
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def default_config():
-    return {
-        "gym": {
-            "episodes_per_task": 200,
-            "noise_scale": None,       # None -> 2% of max step size
-            "seed": 0,
-            "frame_randomize": True,
-            "max_step": synthgym.DEFAULT_MAX_STEP,
-        },
-        "head": asdict(HeadConfig()),
-        "train": asdict(TrainConfig()),
-        "diagnostics": {
-            "time_bins": 10,
-            "min_displacement": None,  # None -> 10% of median step norm
-            "random_baseline_samples": 200000,
-        },
-    }
-
-
-def load_config(path, overrides=None):
-    """The default config updated from the JSON file `path`, if any, and then
-    from `overrides`, {"section.key": value} with None for a flag not given.
-    Raises ValueError naming the first key whose value is not allowed."""
-    merged = default_config()
-    doc = {} if path is None else store.load_json_object(path, "config")
-    for section, values in doc.items():
-        if section not in merged:
-            raise ConfigError(f"unknown config section: {section!r}")
-        if not isinstance(values, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        for key, val in values.items():
-            if key not in merged[section]:
-                raise ConfigError(f"unknown config key: {section}.{key}")
-            merged[section][key] = val
-    for name, val in (overrides or {}).items():
-        if val is not None:
-            section, key = name.split(".")
-            merged[section][key] = val
-    for section, defaults in default_config().items():
-        check_config(section, merged[section], defaults)
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -89,33 +41,37 @@ def cmd_gen_data(args):
     return EXIT_OK
 
 
-def cmd_train(args):
-    cfg = load_config(args.config, {"train.seed": args.seed})
+def _set_up(args, overrides=None):
+    """Load the config, the dataset and the head config (from --ckpt if given,
+    else from the config), check the obs width, then write config.resolved.json
+    into the out dir. Returns (cfg, dataset, hc, checkpoint params or None)."""
+    cfg = load_config(args.config, overrides)
     dataset = synthgym.load_jsonl(args.data)
-    hc = HeadConfig(**cfg["head"])
-    tc = TrainConfig(**cfg["train"])
+    if vars(args).get("ckpt") is None:
+        params, hc, source = None, HeadConfig(**cfg["head"]), "head.obs_dim"
+    else:
+        params, hc, _ = load_checkpoint(args.ckpt)
+        source = "checkpoint obs_dim"
     if dataset.obs_dim != hc.obs_dim:
-        raise ConfigError(
-            f"dataset obs dim {dataset.obs_dim} != head.obs_dim {hc.obs_dim}"
-        )
+        raise ValueError(f"dataset obs dim {dataset.obs_dim} != {source} {hc.obs_dim}")
     os.makedirs(args.out, exist_ok=True)
     store.write_json(os.path.join(args.out, "config.resolved.json"), cfg)
+    return cfg, dataset, hc, params
+
+
+def cmd_train(args):
+    cfg, dataset, hc, _ = _set_up(args, {"train.seed": args.seed})
     _, _, (best_val, best_step) = trainer.train(
-        dataset, hc, tc, out_dir=args.out, resume=args.resume)
+        dataset, hc, TrainConfig(**cfg["train"]), out_dir=args.out, resume=args.resume)
     print(f"best val_loss_act {best_val!r} at step {best_step}")
     return EXIT_OK
 
 
 def cmd_ablate(args):
-    cfg = load_config(args.config)
-    dataset = synthgym.load_jsonl(args.data)
-    hc = HeadConfig(**cfg["head"])
-    tc = TrainConfig(**cfg["train"])
-    os.makedirs(args.out, exist_ok=True)
-    store.write_json(os.path.join(args.out, "config.resolved.json"), cfg)
-    out_csv = os.path.join(args.out, "ablation.csv")
-    results = trainer.ablation_suite(dataset, hc, tc, seeds=args.seeds,
-                                     out_path=out_csv)
+    cfg, dataset, hc, _ = _set_up(args)
+    results = trainer.ablation_suite(dataset, hc, TrainConfig(**cfg["train"]),
+                                     seeds=args.seeds,
+                                     out_path=os.path.join(args.out, "ablation.csv"))
     failed = [r["row"] for r in results if r["mean"] is None]
     for r in results:
         mean = "failed" if r["mean"] is None else f"{r['mean']:.6f}"
@@ -127,15 +83,7 @@ def cmd_ablate(args):
 
 
 def cmd_diagnose(args):
-    cfg = load_config(args.config)
-    dataset = synthgym.load_jsonl(args.data)
-    params, hc, _ = load_checkpoint(args.ckpt)
-    if dataset.obs_dim != hc.obs_dim:
-        raise ConfigError(
-            f"dataset obs dim {dataset.obs_dim} != checkpoint obs_dim {hc.obs_dim}"
-        )
-    os.makedirs(args.out, exist_ok=True)
-    store.write_json(os.path.join(args.out, "config.resolved.json"), cfg)
+    cfg, dataset, hc, params = _set_up(args)
     write_diagnose(args.out, diagnostics.diagnose(dataset, params, hc,
                                                   cfg["diagnostics"]))
     print(f"diagnostics written to {args.out}")
@@ -144,7 +92,7 @@ def cmd_diagnose(args):
 
 def cmd_verify_theorem(args):
     if args.trials < 1:
-        raise ConfigError("--trials must be at least 1")
+        raise ValueError("--trials must be at least 1")
     result = theoremlab.verify(dim=args.dim, trials=args.trials, seed=args.seed)
     for c in result["checks"]:
         print(
@@ -287,8 +235,8 @@ def main(argv=None):
         args.out = resolve_out(args.out)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         inputs = {vars(args).get(k) for k in ("data", "config", "ckpt", "resume")}
         invalid = isinstance(exc, ValueError) or (  # or an unreadable input file
             getattr(exc, "filename", None) in inputs - {None})

@@ -129,7 +129,7 @@ def compatibility(steps_by_task, min_displacement=None):
     }
 
 
-def random_min_angle_mc(n, seed=0):
+def random_min_angle_mc(n=200000, seed=0):
     """Monte-Carlo E[arccos(max_i |v_i|)] in degrees for uniform v on S^2.
 
     Baseline for compatibility of random frames against random directions.
@@ -223,9 +223,9 @@ def dominant_axis_phases(timeline, min_share=0.5):
 def diagnose(dataset, params, config, dcfg):
     """Every diagnostic of the head (params, config) on dataset.
 
-    dcfg: the config's diagnostics section (time_bins, min_displacement,
-    random_baseline_samples). Returns the report: {"concentration",
-    "compatibility", "usage_matrix", "axis_timelines"}.
+    dcfg: the config's diagnostics section (time_bins, min_displacement).
+    Returns the report: {"concentration", "compatibility", "usage_matrix",
+    "axis_timelines"}.
     """
     # a stable sort of the episodes by task makes each task one span
     tasks = dataset.task_names
@@ -239,7 +239,7 @@ def diagnose(dataset, params, config, dcfg):
     spans = {task: slice(step_edges[a], step_edges[b])
              for task, a, b in zip(tasks, ep_edges, ep_edges[1:])}
 
-    baseline = random_min_angle_mc(n=dcfg["random_baseline_samples"])
+    baseline = random_min_angle_mc()
     # random frames are drawn episode by episode in the dataset's own order
     rng = np.random.Generator(np.random.Philox(key=[0xD1A6, 0]))
     draws = [so3.draw_rotations(rng, len(ep.obs)) for ep in dataset.episodes]

@@ -14,51 +14,15 @@ logit is identically [1]).
 """
 
 import json
-import math
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import store
+from .config import ACTION_DIM, HeadConfig
 
 CHECKPOINT_SCHEMA = 2
-
-
-# Width of an action: translation in 0-2, rotation in 3-5, gripper in 6.
-ACTION_DIM = 7
-
-# The interval each bounded config value must lie in, by "section.key"; the
-# other keys are checked for their type only (see config_error).
-BOUNDS = {
-    **dict.fromkeys(("gym.episodes_per_task", "head.obs_dim", "head.hidden", "head.d",
-                     "head.k_trans", "head.k_rot", "head.horizon", "train.steps",
-                     "train.batch_size", "train.eval_interval", "diagnostics.time_bins",
-                     "diagnostics.random_baseline_samples"), "[1, inf)"),
-    **dict.fromkeys(("gym.noise_scale", "head.lambda_ortho", "head.lambda_smooth",
-                     "train.warmup", "train.weight_decay", "train.weight_decay_scale",
-                     "train.ckpt_interval", "diagnostics.min_displacement"),
-                    "[0, inf)"),
-    **dict.fromkeys(("gym.max_step", "head.beta", "train.lr", "train.eps"), "(0, inf)"),
-    **dict.fromkeys(("train.beta1", "train.beta2", "train.val_fraction"), "[0, 1)"),
-}
-
-
-@dataclass
-class HeadConfig:
-    obs_dim: int = 15
-    hidden: int = 64
-    d: int = 3
-    k_trans: int = 16
-    k_rot: int = 16
-    horizon: int = 7
-    lambda_ortho: float = 1e-3
-    lambda_smooth: float = 1e-2
-    beta: float = 1.0
-    learn_frame: bool = True
-
-    def __post_init__(self):
-        check_config("head", vars(self), {f.name: f.default for f in fields(self)})
 
 
 @dataclass
@@ -340,39 +304,6 @@ def save_checkpoint(path, params, config, extra=None):
         doc["extra"] = extra
     with store.atomic_open(path) as f:
         _write_json(doc, f)
-
-
-def config_error(name, default, val):
-    """None when config key `name` ("section.key"), whose default is `default`,
-    may take `val`; otherwise the message that says what it takes."""
-    if isinstance(default, bool):
-        expected = None if isinstance(val, bool) else "true or false"
-    elif isinstance(default, int):
-        expected = None if type(val) is int else "an integer"  # not a bool
-    else:
-        try:  # json.load reads NaN, Infinity and integers past the float range
-            number = not isinstance(val, bool) and math.isfinite(val)
-        except (TypeError, OverflowError):
-            number = False
-        expected = (None if number or (val is None and default is None)
-                    else "a finite number" + " or null" * (default is None))
-    interval = BOUNDS.get(name)
-    if interval and not expected and val is not None:
-        low, high = map(float, interval[1:-1].split(","))
-        if not ((low < val if interval[0] == "(" else low <= val)
-                and (val < high if interval[-1] == ")" else val <= high)):
-            expected = f"in {interval}"
-    return expected and (f"config key {name} must be {expected}, "
-                         f"got {json.dumps(val, default=repr)}")
-
-
-def check_config(section, values, defaults):
-    """Raise ValueError at the first key of `defaults` whose value in `values`
-    config_error rejects."""
-    for key, default in defaults.items():
-        error = config_error(f"{section}.{key}", default, values[key])
-        if error:
-            raise ValueError(error)
 
 
 def load_checkpoint(path):

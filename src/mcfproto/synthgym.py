@@ -10,16 +10,15 @@ object-offset cue, so a zero-error frame predictor exists by construction.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from . import so3, store
-from .head import ACTION_DIM
+from .config import ACTION_DIM, DEFAULT_MAX_STEP
 
 SCHEMA_VERSION = 1
-DEFAULT_MAX_STEP = 0.05
 DEFAULT_NOISE_FRAC = 0.02  # of max step size
 # Episodes per save_jsonl batch. On the default 1,000-episode dataset (2 vCPUs),
 # 16-64 write it fastest (0.09-0.10 s; 0.12 s as one batch), and 16 holds

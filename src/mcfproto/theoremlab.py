@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import linalg, trainer
+from . import config, linalg, trainer
 
 GAUSSIAN_C = np.sqrt(2.0 / np.pi)  # E|z_1| for a standard normal
 # per dim of SO(d): the strict upper triangle's index and the identity, built once
@@ -109,7 +109,7 @@ def _minimize(sigma, c, theta0, dim, iters=400, lr=0.05):
     R, shape (restarts, d, d), and each one's j_closed_form."""
     R = _cayley(theta0, dim)
     theta = ad.Param(np.zeros_like(theta0), "theta")
-    cfg = trainer.TrainConfig(steps=iters, warmup=0, lr=lr, weight_decay=0.0)
+    cfg = config.TrainConfig(steps=iters, warmup=0, lr=lr, weight_decay=0.0)
     opt = trainer.AdamW({"theta": theta}, cfg)
     for t in range(iters):
         theta.value[:] = 0.0

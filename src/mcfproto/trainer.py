@@ -11,7 +11,7 @@ import logging
 import os
 import reprlib
 import shutil
-from dataclasses import dataclass, asdict, fields, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -33,30 +33,6 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, step, value):
         super().__init__(f"non-finite loss at step {step}: {value}")
         self.step = step
-
-
-@dataclass
-class TrainConfig:
-    seed: int = 0
-    batch_size: int = 64
-    steps: int = 20000
-    warmup: int = 500
-    lr: float = 1e-3
-    weight_decay: float = 1e-4
-    weight_decay_scale: float = 10.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    eval_interval: int = 500
-    ckpt_interval: int = 0      # 0 disables periodic checkpoints
-    val_fraction: float = 0.2
-
-    def __post_init__(self):
-        head_mod.check_config("train", vars(self),
-                              {f.name: f.default for f in fields(self)})
-        if self.warmup > self.steps:
-            raise ValueError("config key train.warmup must be at most train.steps, "
-                             f"got {self.warmup} > {self.steps}")
 
 
 def cosine_lr(step, config):

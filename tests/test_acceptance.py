@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mcfproto import autodiff as ad
-from mcfproto import cli, diagnostics, head, so3, synthgym, theoremlab, trainer
+from mcfproto import cli, config, diagnostics, head, so3, synthgym, theoremlab, trainer
 
 pytestmark = pytest.mark.slow
 
@@ -30,7 +30,7 @@ def report(tag, ok, detail=""):
 TRAIN_EPISODES = 200
 HELD_EPISODES = 40
 TRAIN_STEPS = 20000
-DIAGNOSTICS = cli.default_config()["diagnostics"]
+DIAGNOSTICS = config.default_config()["diagnostics"]
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ def datasets():
 def trained(datasets):
     train_ds, _ = datasets
     hc = head.HeadConfig()
-    tc = trainer.TrainConfig(steps=TRAIN_STEPS, warmup=500, eval_interval=2000)
+    tc = config.TrainConfig(steps=TRAIN_STEPS, warmup=500, eval_interval=2000)
     t0 = time.time()
     params, _, best = trainer.train(train_ds, hc, tc)
     return {"params": params, "config": hc, "best": best,
@@ -56,7 +56,7 @@ def trained(datasets):
 def identity_trained(datasets):
     train_ds, _ = datasets
     hc = head.HeadConfig(learn_frame=False)
-    tc = trainer.TrainConfig(steps=TRAIN_STEPS, warmup=500, eval_interval=2000)
+    tc = config.TrainConfig(steps=TRAIN_STEPS, warmup=500, eval_interval=2000)
     params, _, _ = trainer.train(train_ds, hc, tc)
     return {"params": params, "config": hc}
 
@@ -208,7 +208,7 @@ def ablation(datasets):
     templates = synthgym.default_templates()
     small = synthgym.generate(templates, 60, seed=0)
     hc = head.HeadConfig()
-    tc = trainer.TrainConfig(steps=3000, warmup=200, eval_interval=500)
+    tc = config.TrainConfig(steps=3000, warmup=200, eval_interval=500)
     return trainer.ablation_suite(small, hc, tc, seeds=(0, 1, 2))
 
 
@@ -252,7 +252,6 @@ def test_ac9_determinism(tmp_path):
         "head": {"hidden": 16, "k_trans": 4, "k_rot": 4, "horizon": 3},
         "train": {"steps": 60, "warmup": 10, "batch_size": 16,
                   "eval_interval": 20},
-        "diagnostics": {"random_baseline_samples": 20000},
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from mcfproto import cli, diagnostics, head, linalg, so3, store, synthgym, trainer
+from mcfproto import cli, config, diagnostics, head, linalg, so3, store, synthgym, trainer
 
 
 def run_cli(args):
@@ -18,7 +18,6 @@ def small_config(tmp_path, name="config.json", **overrides):
         "head": {"hidden": 16, "k_trans": 4, "k_rot": 4, "horizon": 3},
         "train": {"steps": 30, "warmup": 5, "batch_size": 16,
                   "eval_interval": 10},
-        "diagnostics": {"random_baseline_samples": 10000},
     }
     for section, vals in overrides.items():
         cfg.setdefault(section, {}).update(vals)
@@ -63,25 +62,25 @@ def test_usage_error_is_validation_error(tmp_path, monkeypatch, capsys, argv,
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("name", sorted(head.BOUNDS))
+@pytest.mark.parametrize("name", sorted(config.BOUNDS))
 def test_bounds_table_checks_each_key(name):
     section, key = name.split(".")
-    defaults = cli.default_config()
+    defaults = config.default_config()
     assert key in defaults.get(section, {}), "a key that no config has"
     default = defaults[section][key]
-    assert head.config_error(name, default, default) is None
+    assert config.config_error(name, default, default) is None
     number = int if type(default) is int else float
-    interval = head.BOUNDS[name]
+    interval = config.BOUNDS[name]
     low, high = map(float, interval[1:-1].split(","))
     if interval[0] == "(":
         outside = [low]
     else:
-        assert head.config_error(name, default, number(low)) is None
+        assert config.config_error(name, default, number(low)) is None
         outside = [low - 1 if number is int else np.nextafter(low, -np.inf)]
     if np.isfinite(high):
         outside.append(high if interval[-1] == ")" else np.nextafter(high, np.inf))
     for val in outside:
-        error = head.config_error(name, default, number(val))
+        error = config.config_error(name, default, number(val))
         assert error and error.startswith(f"config key {name} must be ")
 
 
@@ -290,10 +289,14 @@ def test_train_obs_dim_mismatch(tmp_path, capsys):
     cfg = small_config(tmp_path, name="bad_head.json", head={"obs_dim": 7})
     data = tmp_path / "data.jsonl"
     run_cli(["gen-data", "--config", small_config(tmp_path), "--out", str(data)])
-    code = run_cli(["train", "--data", str(data), "--config", cfg,
-                    "--out", str(tmp_path / "run")])
-    assert code == cli.EXIT_VALIDATION
-    assert "obs dim" in capsys.readouterr().err
+    capsys.readouterr()
+    for command in ("train", "ablate"):  # before either writes anything
+        code = run_cli([command, "--data", str(data), "--config", cfg,
+                        "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            "error: dataset obs dim 15 != head.obs_dim 7\n"
+        assert not (tmp_path / "run").exists()
 
 
 def episode_line(*steps, **fields):
@@ -368,7 +371,7 @@ def test_config_value_type_checked(tmp_path, capsys, section, key, value):
     assert f"{section}.{key}" in err
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"train": {"lr": 1}, "gym": {"noise_scale": None}}))
-    cfg = cli.load_config(str(good))
+    cfg = config.load_config(str(good))
     assert cfg["train"]["lr"] == 1 and cfg["gym"]["noise_scale"] is None
 
 
@@ -587,11 +590,14 @@ def test_train_rejects_out_of_range_interval(tmp_path, capsys, key, value):
     ("gen-data", "gym", "noise_scale", ["--noise", "nan"]),
     ("gen-data", "gym", "noise_scale", ["--noise", "-1"]),
     ("gen-data", "gym", "episodes_per_task", ["--episodes", "0"]),
+    ("gen-data", "train", "warmup", {"warmup": 10, "steps": 5}),
+    ("diagnose", "train", "warmup", {"warmup": 10, "steps": 5}),
 ], ids=["nan_lr", "infinite_lambda_ortho", "nan_noise_scale", "zero_steps",
         "huge_int_lr", "negative_lr", "val_fraction_past_1", "negative_warmup",
         "beta1_1", "zero_eps", "negative_weight_decay", "zero_beta",
         "negative_lambda_ortho", "negative_max_step", "negative_noise_scale",
-        "nan_noise_flag", "negative_noise_flag", "zero_episodes_flag"])
+        "nan_noise_flag", "negative_noise_flag", "zero_episodes_flag",
+        "gen_data_warmup_past_steps", "diagnose_warmup_past_steps"])
 def test_non_finite_or_empty_run_config_rejected(tmp_path, capsys, command,
                                                  section, key, values):
     # json.dumps writes NaN and Infinity, which json.load reads back; a list
@@ -599,11 +605,17 @@ def test_non_finite_or_empty_run_config_rejected(tmp_path, capsys, command,
     flags = values if isinstance(values, list) else []
     cfg = small_config(tmp_path, **({} if flags else {section: values}))
     data = tmp_path / "data.jsonl"
-    if command == "train":
-        data.write_text(episode_line(step()))
-        argv = ["train", "--data", str(data), "--out", str(tmp_path / "run")]
-    else:
+    if command == "gen-data":
         argv = ["gen-data", "--out", str(data)]
+    else:
+        data.write_text(episode_line(step()))
+        argv = [command, "--data", str(data), "--out", str(tmp_path / "run")]
+    if command == "diagnose":
+        hc = head.HeadConfig(hidden=4, k_trans=2, k_rot=2, horizon=2)
+        ckpt = tmp_path / "ckpt.json"
+        head.save_checkpoint(str(ckpt), head.init_params(hc, np.random.default_rng(0)),
+                             hc)
+        argv += ["--ckpt", str(ckpt)]
     assert run_cli(argv + ["--config", cfg] + flags) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{section}.{key}" in err
@@ -614,10 +626,8 @@ def test_non_finite_or_empty_run_config_rejected(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("key, value", [
     ("time_bins", 0),
-    ("random_baseline_samples", 0),
     ("min_displacement", -0.01),
     ("time_bins", 2.5),
-    ("random_baseline_samples", True),
     ("min_displacement", float("inf")),
 ])
 def test_diagnose_rejects_out_of_range_diagnostics_config(tmp_path, capsys, key,
@@ -639,22 +649,22 @@ def test_diagnose_rejects_out_of_range_diagnostics_config(tmp_path, capsys, key,
 
 
 @pytest.mark.parametrize("exc, code", [
-    (cli.ConfigError("unknown key"), cli.EXIT_VALIDATION),
     (ValueError("bad value"), cli.EXIT_VALIDATION),
     (linalg.LinalgError("matrix is not symmetric"), cli.EXIT_VALIDATION),
     (so3.DegenerateParamError("6D columns are near-collinear"), cli.EXIT_RUNTIME),
     (trainer.TrainingDiverged(3, float("nan")), cli.EXIT_RUNTIME),
     (FloatingPointError("overflow"), cli.EXIT_RUNTIME),
     (OSError(28, "No space left on device"), cli.EXIT_RUNTIME),
-], ids=["ConfigError", "ValueError", "LinalgError", "DegenerateParamError",
-        "TrainingDiverged", "FloatingPointError", "OSError"])
+    (MemoryError(), cli.EXIT_RUNTIME),
+], ids=["ValueError", "LinalgError", "DegenerateParamError", "TrainingDiverged",
+        "FloatingPointError", "OSError", "MemoryError"])
 def test_failure_class_exit_code(monkeypatch, capsys, exc, code):
     def fail(args):
         raise exc
 
     monkeypatch.setattr(cli, "cmd_verify_theorem", fail)
     assert run_cli(["verify-theorem"]) == code
-    assert capsys.readouterr().err == f"error: {exc}\n"
+    assert capsys.readouterr().err == f"error: {str(exc) or type(exc).__name__}\n"
 
 
 @pytest.mark.parametrize("flag", ["--data", "--config", "--ckpt"])

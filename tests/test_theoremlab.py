@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mcfproto import autodiff as ad
-from mcfproto import so3, trainer
+from mcfproto import config, so3, trainer
 from mcfproto import theoremlab as tl
 
 
@@ -188,7 +188,7 @@ def reference_minimize(sigma, c, theta0, dim, iters=400, lr=0.05):
 
     R = cayley(theta0)
     theta = ad.Param(np.zeros_like(theta0), "theta")
-    cfg = trainer.TrainConfig(steps=iters, warmup=0, lr=lr, weight_decay=0.0)
+    cfg = config.TrainConfig(steps=iters, warmup=0, lr=lr, weight_decay=0.0)
     opt = trainer.AdamW({"theta": theta}, cfg)
     for t in range(iters):
         theta.value[:] = 0.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mcfproto import autodiff as ad
-from mcfproto import diagnostics, head, so3, store, synthgym, trainer
+from mcfproto import config, diagnostics, head, so3, store, synthgym, trainer
 
 
 def tiny_dataset(seed=0, episodes=6):
@@ -19,11 +19,11 @@ def tiny_configs(**train_kw):
     hc = head.HeadConfig(hidden=16, k_trans=4, k_rot=4, horizon=3)
     base = dict(steps=30, warmup=5, batch_size=16, eval_interval=10)
     base.update(train_kw)
-    return hc, trainer.TrainConfig(**base)
+    return hc, config.TrainConfig(**base)
 
 
 def test_cosine_lr_endpoints():
-    tc = trainer.TrainConfig(steps=1000, warmup=100, lr=1e-3)
+    tc = config.TrainConfig(steps=1000, warmup=100, lr=1e-3)
     assert trainer.cosine_lr(0, tc) == 0.0
     assert trainer.cosine_lr(100, tc) == pytest.approx(1e-3)
     assert trainer.cosine_lr(50, tc) == pytest.approx(5e-4)
@@ -37,21 +37,21 @@ def test_cosine_lr_endpoints():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        trainer.TrainConfig(warmup=100, steps=50)
+        config.TrainConfig(warmup=100, steps=50)
     with pytest.raises(ValueError, match="steps must be"):
-        trainer.TrainConfig(steps=0, warmup=0)
+        config.TrainConfig(steps=0, warmup=0)
     with pytest.raises(ValueError):
-        trainer.TrainConfig(batch_size=0)
+        config.TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="eval_interval"):
-        trainer.TrainConfig(eval_interval=0)
+        config.TrainConfig(eval_interval=0)
     with pytest.raises(ValueError, match="ckpt_interval"):
-        trainer.TrainConfig(ckpt_interval=-1)
+        config.TrainConfig(ckpt_interval=-1)
 
 
 def test_adamw_zero_grad_step_only_decays():
     hc = head.HeadConfig(hidden=8, k_trans=2, k_rot=2, horizon=2)
     params = head.init_params(hc, np.random.default_rng(0))
-    tc = trainer.TrainConfig(steps=10, warmup=0, weight_decay=0.1,
+    tc = config.TrainConfig(steps=10, warmup=0, weight_decay=0.1,
                              weight_decay_scale=0.2)
     opt = trainer.AdamW(params, tc)
     before = {k: p.value.copy() for k, p in params.items()}
@@ -159,7 +159,7 @@ def best_before_end_run(full):
     a checkpoint at every eval: (ds, hc, tc, best_step)."""
     ds = synthgym.generate(synthgym.default_templates(), 4, seed=0)
     hc = head.HeadConfig(hidden=16, k_trans=4, k_rot=4, horizon=3)
-    tc = trainer.TrainConfig(seed=4, steps=60, warmup=0, lr=0.02, eval_interval=5,
+    tc = config.TrainConfig(seed=4, steps=60, warmup=0, lr=0.02, eval_interval=5,
                              ckpt_interval=5, batch_size=8)
     _, _, (_, best_step) = trainer.train(ds, hc, tc, out_dir=str(full))
     assert best_step < 60
@@ -294,7 +294,7 @@ def signed_zero_grads(rng, shape):
 
 def test_flat_adamw_matches_per_tensor_loop_bitwise():
     hc, _ = tiny_configs()
-    tc = trainer.TrainConfig(steps=10, warmup=0, weight_decay=0.03,
+    tc = config.TrainConfig(steps=10, warmup=0, weight_decay=0.03,
                              weight_decay_scale=0.7)
     ref_params, params = (head.init_params(hc, np.random.default_rng(6))
                           for _ in range(2))
@@ -327,7 +327,7 @@ def test_flat_adamw_matches_per_tensor_loop_bitwise():
 def test_flat_adamw_one_rebound_tensor_matches_per_tensor_loop():
     # as theoremlab._minimize drives it: the value reset in place, the
     # gradient a new array every step
-    tc = trainer.TrainConfig(steps=10, warmup=0, weight_decay=0.1)
+    tc = config.TrainConfig(steps=10, warmup=0, weight_decay=0.1)
     ref_theta, theta = (ad.Param(np.zeros((3, 6)), "theta") for _ in range(2))
     ref = PerTensorAdamW({"theta": ref_theta}, tc)
     opt = trainer.AdamW({"theta": theta}, tc)
@@ -486,7 +486,7 @@ def test_ablation_suite_propagates_programming_errors(monkeypatch):
 
 def test_horizon_one_warns_once_per_run(caplog):
     hc = head.HeadConfig(hidden=16, k_trans=4, k_rot=4, horizon=1)
-    tc = trainer.TrainConfig(steps=5, warmup=1, batch_size=16, eval_interval=5)
+    tc = config.TrainConfig(steps=5, warmup=1, batch_size=16, eval_interval=5)
     ds = tiny_dataset()
     seven = head.HeadConfig(hidden=16, k_trans=4, k_rot=4)
     with caplog.at_level(logging.WARNING):
