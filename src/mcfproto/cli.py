@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import diagnostics, store, synthgym, theoremlab, trainer
 from .config import HeadConfig, TrainConfig, default_config, load_config
@@ -43,15 +44,16 @@ def cmd_gen_data(args):
 
 def _set_up(args, overrides=None):
     """Load the config, the dataset and the head config (from --ckpt if given,
-    else from the config), check the obs width, then write config.resolved.json
-    into the out dir. Returns (cfg, dataset, hc, checkpoint params or None)."""
+    else from the config), check the obs width, then write config.resolved.json,
+    with the head that runs, into the out dir. Returns (cfg, dataset, hc,
+    checkpoint params or None)."""
     cfg = load_config(args.config, overrides)
     dataset = synthgym.load_jsonl(args.data)
     if vars(args).get("ckpt") is None:
         params, hc, source = None, HeadConfig(**cfg["head"]), "head.obs_dim"
     else:
         params, hc, _ = load_checkpoint(args.ckpt)
-        source = "checkpoint obs_dim"
+        cfg["head"], source = asdict(hc), "checkpoint obs_dim"
     if dataset.obs_dim != hc.obs_dim:
         raise ValueError(f"dataset obs dim {dataset.obs_dim} != {source} {hc.obs_dim}")
     os.makedirs(args.out, exist_ok=True)
@@ -131,7 +133,7 @@ def write_diagnose(out_dir, report):
     store.write_csv(path("compatibility.csv"),
                     ["frames", "task", "mean_deg", "std_deg", "n_steps"],
                     [[name, task, v["mean_deg"], v["std_deg"], v["n_steps"]]
-                     for name in ("learned", "ground_truth", "random")
+                     for name in ("learned", "ground_truth")
                      for task, v in report["compatibility"][name]["per_task"].items()])
     usage = report["usage_matrix"]
     # one column per prototype of the larger dictionary; the smaller one's
@@ -147,7 +149,7 @@ def write_diagnose(out_dir, report):
                      for task, timeline in report["axis_timelines"].items()
                      for block in ("trans", "rot")
                      for b, row in enumerate(timeline[block])])
-    store.write_json(path("report.json"), {"schema_version": 1, **report})
+    store.write_json(path("report.json"), {"schema_version": 2, **report})
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,12 @@ def pairwise_mean_distance(X):
     left = np.column_stack([-2.0 * X, sq, ones])
     right = np.column_stack([X, ones, sq])
     lower = np.tril(np.ones((_BLOCK, _BLOCK), dtype=bool))  # i >= j in a diagonal block
+    slab = np.empty(_BLOCK * n)  # every block's squared distances, in turn
     total = 0.0
     for lo in range(0, n - 1, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        d2 = left[lo:hi] @ right[lo:].T
+        d2 = np.matmul(left[lo:hi], right[lo:].T,
+                       out=slab[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo))
         d2[:, :hi - lo][lower[:hi - lo, :hi - lo]] = 0.0
         np.sqrt(np.maximum(d2, 0.0, out=d2), out=d2)
         total += d2.sum()

@@ -269,8 +269,8 @@ def load_jsonl(path):
                 raise ValueError(f"{where}: q_6d holds {len(q6s[-1])} numbers, not 6")
             wheres.append(where)
             steps = _field(doc, "steps", where)
-            if not steps:
-                raise ValueError(f"{where}: episode has no steps")
+            if not isinstance(steps, list) or not steps:
+                raise ValueError(f"{where}: steps is not a non-empty list")
             obs = store.numbers([_field(s, "obs", where) for s in steps], "obs",
                                 where, 2, bools)
             actions = store.numbers([_field(s, "action", where) for s in steps],

@@ -8,6 +8,7 @@ bitwise-identical metric logs.
 """
 
 import logging
+import math
 import os
 import reprlib
 import shutil
@@ -27,6 +28,18 @@ METRIC_COLUMNS = ["step", "lr", "loss_total", "loss_act", "loss_ortho",
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x):
+    return _is_int(x) or isinstance(x, float)
+
+
+def _is_metrics_row(row):
+    """An integer step, finite numbers, and a number or "" for val_loss_act."""
+    return (isinstance(row, list) and len(row) == len(METRIC_COLUMNS)
+            and _is_int(row[0]) and (row[-1] == "" or _is_number(row[-1]))
+            and all(_is_int(x) or isinstance(x, float) and math.isfinite(x)
+                    for x in row[1:-1]))
 
 
 class TrainingDiverged(RuntimeError):
@@ -208,18 +221,20 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
         for key, ok, what in (
                 ("step", _is_int(start_step) and 0 <= start_step <= tc.steps,
                  f"an integer in [0, {tc.steps}]"),
-                ("best_val", _is_int(best_val) or isinstance(best_val, float),
-                 "a number"),
+                ("best_val", _is_number(best_val), "a number"),
                 ("best_step", _is_int(best_step), "an integer"),
-                ("metrics", isinstance(rows, list) and all(
-                    isinstance(r, list) and len(r) == len(METRIC_COLUMNS)
-                    for r in rows), f"a list of rows of {len(METRIC_COLUMNS)} values")):
+                ("metrics", isinstance(rows, list) and all(map(_is_metrics_row, rows)),
+                 f"a list of rows of {len(METRIC_COLUMNS)} values: an integer "
+                 "step, finite numbers, and a number or \"\" for val_loss_act")):
             if not ok:
                 got = reprlib.repr(extra[key]) if key in extra else "nothing"
                 raise ValueError(f"checkpoint {resume}: {key} must be {what}, "
                                  f"got {got}")
         try:
             opt.load_state(extra["optimizer"])
+            if opt.step_count != start_step:
+                raise ValueError(f"optimizer step_count {opt.step_count} is not the "
+                                 f"checkpoint's step {start_step}")
             shapes = [p.shape for p in params.values()]
             best_snapshot = (  # unless they are this checkpoint's own params
                 dict(zip(params, store.decode_f8(extra.get("best_params"), shapes,

@@ -189,7 +189,7 @@ def test_ac5_local_concentration(trained, held_report):
 def test_ac6_compatibility(datasets, identity_trained, held_report):
     _, held = datasets
     learned = held_report["compatibility"]["learned"]
-    baseline = held_report["compatibility"]["random_mc_baseline_deg"]
+    baseline = diagnostics.RANDOM_BASELINE_DEG
     identity = diagnostics.diagnose(
         held, identity_trained["params"], identity_trained["config"],
         DIAGNOSTICS)["compatibility"]["learned"]

@@ -152,9 +152,12 @@ def test_train_and_diagnose_pipeline(tmp_path):
     # the ground-truth frame compacts the actions
     assert (conc["canonical"]["summary"]["effective_rank"]["mean"]
             < conc["world"]["summary"]["effective_rank"]["mean"])
-    assert report["compatibility"]["random_mc_baseline_deg"] == pytest.approx(
-        31.9, abs=1.0)
-    for frames in ("learned", "ground_truth", "random"):
+    assert report["schema_version"] == 2
+    assert list(report["compatibility"]) == ["learned", "ground_truth",
+                                             "random_baseline_deg"]
+    assert (report["compatibility"]["random_baseline_deg"]
+            == diagnostics.RANDOM_BASELINE_DEG)
+    for frames in ("learned", "ground_truth"):
         assert "records" not in report["compatibility"][frames]
 
 
@@ -163,9 +166,8 @@ def per_episode_diagnose(data, ckpt, out_dir, time_bins):
     episode, per-task lists gathered episode by episode, a loop over steps."""
     ds = synthgym.load_jsonl(data)
     params, hc, _ = head.load_checkpoint(ckpt)
-    rng = np.random.Generator(np.random.Philox(key=[0xD1A6, 0]))
     world, canonical, local, gating = {}, {}, {}, {}
-    pairs = {"learned": {}, "ground_truth": {}, "random": {}}
+    pairs = {"learned": {}, "ground_truth": {}}
     counts = {task: np.zeros((2, time_bins, 3)) for task in ds.task_names}
     for ep in ds.episodes:
         out = head.head_forward(ep.obs, params, hc)
@@ -180,9 +182,7 @@ def per_episode_diagnose(data, ckpt, out_dir, time_bins):
             (out.gating_trans.value[:, 0], out.gating_rot.value[:, 0]))
         for name, f in (
                 ("learned", frames),
-                ("ground_truth", np.broadcast_to(ep.q, frames.shape)),
-                ("random", so3.rotations_from_draws(
-                    *so3.draw_rotations(rng, len(ep.obs))))):
+                ("ground_truth", np.broadcast_to(ep.q, frames.shape))):
             pairs[name].setdefault(ep.task, []).append((ep.actions[:, :3], f))
         for i, row in enumerate(loc):
             b = min(i * time_bins // len(loc), time_bins - 1)
@@ -261,6 +261,9 @@ def test_usage_csv_rows_match_header(tmp_path, k_trans, k_rot):
                          hc)
     assert run_cli(["diagnose", "--data", str(data), "--ckpt", str(ckpt),
                     "--config", cfg, "--out", str(tmp_path / "diag")]) == 0
+    # the config's head (hidden 16, horizon 3) is not the one that ran
+    resolved = json.loads((tmp_path / "diag" / "config.resolved.json").read_text())
+    assert resolved["head"] == json.loads(ckpt.read_text())["config"]
     with open(tmp_path / "diag" / "usage_matrix.csv") as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["dictionary", "task"] + [f"proto_{i}" for i in range(8)]
@@ -337,11 +340,13 @@ def degenerate_line(q_6d):
         {"obs": [True] + [0.0] * 14, "action": [0.0] * 7}), "line 2"),
     (episode_line({"obs": [0.0] * 15, "action": [0.0] * 6 + [False]}), "line 1"),
     (episode_line(step(), q_6d=[1, 0, 0, 0, 1, False]), "line 1"),
+    (episode_line(step()) + episode_line(steps=5), "line 2"),
+    (episode_line(steps={"obs": [0.0] * 15, "action": [0.0] * 7}), "line 1"),
 ], ids=["empty", "degenerate_q_6d", "no_steps", "ragged_obs", "action_width",
         "nan_obs", "not_object", "missing_steps", "missing_action", "bad_json",
         "null_q_6d", "degenerate_q_6d_line_2", "list_task", "string_obs",
         "string_q_6d", "bool_schema_version", "bool_in_obs", "bool_in_action",
-        "bool_in_q_6d"])
+        "bool_in_q_6d", "int_steps", "object_steps"])
 def test_train_rejects_bad_dataset(tmp_path, capsys, content, where):
     data = tmp_path / "data.jsonl"
     data.write_text(content)
@@ -448,7 +453,10 @@ def test_resume_needs_optimizer_state(tmp_path, capsys):
     ("m", "not base64!"),
     ("v", "AAAAAAAAAAA="),
     ("step_count", 2.5),
-], ids=["missing_m", "list_v", "invalid_base64", "wrong_length", "float_step_count"])
+    ("step_count", -1),
+    ("step_count", 4),
+], ids=["missing_m", "list_v", "invalid_base64", "wrong_length", "float_step_count",
+        "negative_step_count", "step_count_not_step"])
 def test_resume_rejects_malformed_optimizer_state(tmp_path, capsys, key, value):
     cfg = small_config(tmp_path, train={"steps": 10, "warmup": 2,
                                         "eval_interval": 5, "ckpt_interval": 5})
@@ -487,13 +495,14 @@ MISSING = object()
     ("metrics", MISSING),
     ("metrics", {"rows": []}),
     ("metrics", [[5, 0.001, 1.0]]),
+    ("metrics", [["x", None, {"a": 1}, 1.0, 0.0, 0.0, ""]]),
     ("best_params", MISSING),
     ("best_params", [0.0]),
     ("best_params", "not base64!"),
     ("best_params", "AAAAAAAAAAA="),
 ], ids=["missing_step", "string_step", "bool_step", "float_step", "negative_step",
         "step_past_end", "string_best_val", "null_best_val", "float_best_step",
-        "missing_metrics", "object_metrics", "short_metrics_row",
+        "missing_metrics", "object_metrics", "short_metrics_row", "bad_metrics_row",
         "missing_best_params", "list_best_params", "invalid_base64_best_params",
         "wrong_length_best_params"])
 def test_resume_rejects_malformed_counters(tmp_path, capsys, key, value):

@@ -147,10 +147,26 @@ def test_compatibility_empty_task_reported():
     assert rep["overall_mean_deg"] == pytest.approx(0.0)
 
 
+def min_angle_quadrature(nodes):
+    """E[arccos(max_i |v_i|)] in degrees for uniform v on S^2, by Gauss-Legendre
+    over phi in [0, pi/4] of (12/pi) [sin t - t cos t], t = arctan(1 / cos phi)."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    phi = np.pi / 8 * (x + 1)
+    t = np.arctan(1 / np.cos(phi))
+    return np.degrees(12 / np.pi * np.pi / 8 * (w @ (np.sin(t) - t * np.cos(t))))
+
+
 def test_random_min_angle_baseline():
-    # E[arccos(max_i |v_i|)] for uniform v on the sphere is about 31.9 deg
-    val = diagnostics.random_min_angle_mc(200000, seed=0)
-    assert val == pytest.approx(31.9, abs=0.5)
+    exact = min_angle_quadrature(16)
+    assert exact == pytest.approx(min_angle_quadrature(8), abs=1e-12)
+    assert diagnostics.RANDOM_BASELINE_DEG == pytest.approx(exact, abs=1e-12)
+    # the Monte-Carlo estimate within 4 standard errors; the per-sample
+    # standard deviation from directions of another stream
+    v = np.random.default_rng(8).normal(size=(100000, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    sd = np.degrees(np.arccos(np.abs(v).max(axis=1))).std()
+    n = 2 * 10**6
+    assert abs(diagnostics.random_min_angle_mc(n) - exact) < 4 * sd / np.sqrt(n)
     # deterministic per seed
     assert diagnostics.random_min_angle_mc(1000, seed=5) == \
         diagnostics.random_min_angle_mc(1000, seed=5)
