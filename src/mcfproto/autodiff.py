@@ -183,9 +183,9 @@ def sqrt(a):
 
 def softmax(a):
     """Softmax over the last axis (full Jacobian in backward)."""
-    shifted = a.value - a.value.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = a.value - a.value.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
     out = Node(s, (a,))
     out.backward_fn = lambda g: (s * (g - (s * g).sum(axis=-1, keepdims=True)),)
     return out

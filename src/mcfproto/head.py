@@ -318,6 +318,8 @@ def load_checkpoint(path):
     for key in ("config", "params"):
         if not isinstance(doc.get(key), dict):
             raise invalid(f"no {key!r} object")
+    if not isinstance(doc.get("extra", {}), dict):
+        raise invalid("'extra' is not an object")
     try:
         config = HeadConfig(**doc["config"])
     except (TypeError, ValueError) as exc:

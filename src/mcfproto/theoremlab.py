@@ -4,7 +4,7 @@ rotations is minimized by the eigenframe of the sample covariance.
 Three independent routes are checked against each other:
   * the closed form  J(R) = c * sum_i sqrt((R^T Sigma R)_ii),
   * a Monte-Carlo estimate of E ||R^T a||_1 under a Gaussian sampler,
-  * multi-restart gradient minimization over SO(d), whose optimum must land
+  * multi-restart Newton minimization over SO(d), whose optimum must land
     on the eigenframe (modulo signed permutation) with value c * sum sqrt(lambda_i),
 together with the Schur-Horn majorization and Karamata inequality the
 minimality argument rests on.
@@ -15,12 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from . import config, linalg, trainer
+from . import linalg
 
 GAUSSIAN_C = np.sqrt(2.0 / np.pi)  # E|z_1| for a standard normal
 # per dim of SO(d): the strict upper triangle's index and the identity, built once
 _TABLES = {d: ((..., *np.triu_indices(d, 1)), np.eye(d)) for d in range(2, 7)}
+# the Newton step: |eigenvalues| of the Hessian below _EIG_FLOOR count as
+# _EIG_FLOOR, and a step longer than _MAX_STEP (radians) is cut to it
+_EIG_FLOOR = 1e-12
+_MAX_STEP = 0.5
 
 
 def sigma_sqrt(sigma):
@@ -69,8 +72,8 @@ def j_monte_carlo(R, sampler, n, stream=0):
     if n < 1000:
         raise ValueError("need at least 1000 samples")
     R = _check_orthogonal(R)
-    a = sampler.sample(n, stream=stream)
-    per_sample = np.abs(a @ R).sum(axis=1)
+    a = sampler.sample(n, stream=stream) @ R
+    per_sample = np.abs(a, out=a).sum(axis=1)
     return float(per_sample.mean()), float(per_sample.std(ddof=1) / np.sqrt(n))
 
 
@@ -92,30 +95,54 @@ def _cayley(theta, dim):
     return np.linalg.solve(eye - A, eye + A)
 
 
-def _body_grad(R, sigma, c):
-    """Gradient of theta -> J(R cayley(theta)) at theta = 0, for i < j:
-    2c (H_ij - H_ji) with M = R^T Sigma R and H = M diag(M)^-1/2.
-    R may carry leading axes, (..., d, d) -> (..., n_par)."""
+def _derivatives(R, sigma, c):
+    """Gradient and Hessian of theta -> J(R cayley(theta)) at theta = 0.
+
+    With M = R^T Sigma R, s_i = sqrt(M_ii) and w_p = 1/s_b - 1/s_a for each
+    upper-triangle pair p = (a, b):
+      g_p  = 2c M_ab w_p,
+      H_pq = 2c [(K_p)_a'b' w_q + (K_q)_ab w_p] - 4c sum_i u_pi u_qi / s_i^3,
+    where q = (a', b'), K_p = M E_p - E_p M for the skew basis E_p of
+    _cayley, and u_pi = M_ab (delta_ib - delta_ia). R may carry leading
+    axes, (..., d, d) -> (..., n_par) and (..., n_par, n_par)."""
     M = np.swapaxes(R, -1, -2) @ sigma @ R
-    H = M / np.sqrt(np.diagonal(M, axis1=-2, axis2=-1))[..., None, :]
-    return 2.0 * c * (H - np.swapaxes(H, -1, -2))[_TABLES[M.shape[-1]][0]]
+    upper = _TABLES[M.shape[-1]][0]
+    a, b = upper[1], upper[2]
+    ap, bp, aq, bq = a[:, None], b[:, None], a[None, :], b[None, :]
+    inv_s = 1.0 / np.sqrt(np.diagonal(M, axis1=-2, axis2=-1))
+    w = inv_s[..., b] - inv_s[..., a]
+    m_ab = M[upper]
+    grad = 2.0 * c * m_ab * w
+    # (K_p)_{a_q b_q}: rows p, columns q
+    k = (M[..., aq, ap] * (bq == bp) - M[..., aq, bp] * (bq == ap)
+         - M[..., bp, bq] * (aq == ap) + M[..., ap, bq] * (aq == bp))
+    # sum_i u_pi u_qi / s_i^3 = M_ab M_a'b' times this
+    t_a, t_b = inv_s[..., ap] ** 3, inv_s[..., bp] ** 3
+    uu = t_b * (bp == bq) - t_b * (bp == aq) + t_a * (ap == aq) - t_a * (ap == bq)
+    hess = 2.0 * c * (k * w[..., None, :] + np.swapaxes(k, -1, -2) * w[..., :, None]
+                      - 2.0 * m_ab[..., :, None] * m_ab[..., None, :] * uu)
+    return grad, hess
 
 
-def _minimize(sigma, c, theta0, dim, iters=400, lr=0.05):
-    """Adam in Cayley coordinates, re-centred at the current R every step.
+def _minimize(sigma, c, theta0, dim, iters=15):
+    """Saddle-free Newton in Cayley coordinates, re-centred at the current R
+    every step: theta = -V |Lambda|^-1 V^T g from the eigendecomposition of
+    the Hessian, its norm capped at _MAX_STEP, then R <- R cayley(theta).
 
     Each row of theta0, shape (restarts, n_par), starts one restart; the
     restarts share every step but not their values. Returns the stacked
     R, shape (restarts, d, d), and each one's j_closed_form."""
     R = _cayley(theta0, dim)
-    theta = ad.Param(np.zeros_like(theta0), "theta")
-    cfg = config.TrainConfig(steps=iters, warmup=0, lr=lr, weight_decay=0.0)
-    opt = trainer.AdamW({"theta": theta}, cfg)
-    for t in range(iters):
-        theta.value[:] = 0.0
-        theta.grad = _body_grad(R, sigma, c)
-        opt.step(trainer.cosine_lr(t, cfg))
-        R = R @ _cayley(theta.value, dim)
+    for _ in range(iters):
+        g, H = _derivatives(R, sigma, c)
+        lam, V = np.linalg.eigh(H)
+        # elementwise products and sums, not a stacked matmul, so that every
+        # restart's step is bitwise what it is alone
+        y = (V * g[..., :, None]).sum(-2) / np.maximum(np.abs(lam), _EIG_FLOOR)
+        theta = -(V * y[..., None, :]).sum(-1)
+        norm = np.sqrt((theta * theta).sum(-1, keepdims=True))
+        theta *= _MAX_STEP / np.maximum(norm, _MAX_STEP)
+        R = R @ _cayley(theta, dim)
     return R, np.array([j_closed_form(r, sigma, c) for r in R])
 
 
@@ -147,8 +174,8 @@ def alignment_report(R, sigma, degenerate_gap=1e-6):
     return {"angles_deg": angles, "max_angle_deg": float(np.nanmax(angles))}
 
 
-def minimize_over_so(sigma, c=GAUSSIAN_C, restarts=32, seed=0, iters=400):
-    """Multi-restart gradient minimization of the closed form over SO(d).
+def minimize_over_so(sigma, c=GAUSSIAN_C, restarts=32, seed=0, iters=15):
+    """Multi-restart Newton minimization of the closed form over SO(d).
 
     Returns dict with R_star, j_star, the analytic optimum, and the
     axis-alignment report against sigma's eigenvectors.

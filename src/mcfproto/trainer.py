@@ -42,6 +42,14 @@ def _is_metrics_row(row):
                     for x in row[1:-1]))
 
 
+def _steps_end_at(rows, step):
+    """The rows' steps strictly increase and the last is at most `step`."""
+    if not _is_int(step):
+        return False
+    steps = [row[0] for row in rows] + [step + 1]
+    return all(a < b for a, b in zip(steps, steps[1:]))
+
+
 class TrainingDiverged(RuntimeError):
     def __init__(self, step, value):
         super().__init__(f"non-finite loss at step {step}: {value}")
@@ -223,9 +231,11 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
                  f"an integer in [0, {tc.steps}]"),
                 ("best_val", _is_number(best_val), "a number"),
                 ("best_step", _is_int(best_step), "an integer"),
-                ("metrics", isinstance(rows, list) and all(map(_is_metrics_row, rows)),
+                ("metrics", isinstance(rows, list) and all(map(_is_metrics_row, rows))
+                 and _steps_end_at(rows, start_step),
                  f"a list of rows of {len(METRIC_COLUMNS)} values: an integer "
-                 "step, finite numbers, and a number or \"\" for val_loss_act")):
+                 "step, finite numbers, and a number or \"\" for val_loss_act, "
+                 "with steps that increase and end at or before step")):
             if not ok:
                 got = reprlib.repr(extra[key]) if key in extra else "nothing"
                 raise ValueError(f"checkpoint {resume}: {key} must be {what}, "

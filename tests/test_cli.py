@@ -496,6 +496,8 @@ MISSING = object()
     ("metrics", {"rows": []}),
     ("metrics", [[5, 0.001, 1.0]]),
     ("metrics", [["x", None, {"a": 1}, 1.0, 0.0, 0.0, ""]]),
+    ("metrics", [[7, 0.001, 1.0, 1.0, 0.0, 0.0, ""]]),
+    ("metrics", [[3, 0.001, 1.0, 1.0, 0.0, 0.0, ""], [2, 0.001, 1.0, 1.0, 0.0, 0.0, ""]]),
     ("best_params", MISSING),
     ("best_params", [0.0]),
     ("best_params", "not base64!"),
@@ -503,6 +505,7 @@ MISSING = object()
 ], ids=["missing_step", "string_step", "bool_step", "float_step", "negative_step",
         "step_past_end", "string_best_val", "null_best_val", "float_best_step",
         "missing_metrics", "object_metrics", "short_metrics_row", "bad_metrics_row",
+        "metrics_past_step", "decreasing_metrics_steps",
         "missing_best_params", "list_best_params", "invalid_base64_best_params",
         "wrong_length_best_params"])
 def test_resume_rejects_malformed_counters(tmp_path, capsys, key, value):
@@ -544,6 +547,21 @@ def periodic_run(tmp_path_factory):
     assert run_cli(["train", "--data", data, "--config", cfg,
                     "--out", str(tmp / "run")]) == cli.EXIT_OK
     return data, cfg, tmp / "run"
+
+
+@pytest.mark.parametrize("extra", [5, [], "x", None], ids=["int", "list", "string", "null"])
+def test_resume_rejects_malformed_extra(periodic_run, tmp_path, capsys, extra):
+    data, cfg, run_dir = periodic_run
+    doc = json.loads((run_dir / "ckpt_5.json").read_text())
+    doc["extra"] = extra
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["train", "--resume", str(ckpt), "--data", data, "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ckpt}: ")
+    assert "'extra'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["diagnose", "resume"])

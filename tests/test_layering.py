@@ -39,10 +39,11 @@ def test_module_layering():
     imports = {os.path.basename(path)[:-3]: package_imports(path) for path in
                glob.glob(os.path.join(os.path.dirname(mcfproto.__file__), "*.py"))}
     modules = {name: {module for module, _ in found} for name, found in imports.items()}
-    assert {"store", "config", "synthgym", "head"} <= set(modules)
+    assert {"store", "config", "synthgym", "head", "theoremlab"} <= set(modules)
     assert not modules["store"]
     assert modules["config"] <= {"store"}
     assert "head" not in modules["synthgym"]
+    assert modules["theoremlab"] == {"linalg"}
     # the one function-level import breaks the synthgym -> diagnostics cycle
     # until world_vs_canonical_stats moves into diagnostics
     assert {(name, function) for name, found in imports.items()

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from mcfproto import autodiff as ad
-from mcfproto import config, so3, trainer
+from mcfproto import so3
 from mcfproto import theoremlab as tl
 
 
@@ -127,19 +126,63 @@ def test_minimize_general_dim_4():
         assert res["alignment"]["max_angle_deg"] <= 0.5, dim
 
 
+def reference_derivatives(R, sigma, c):
+    """_derivatives from the second-order expansion of the Cayley map,
+    cayley(theta) = I + 2A + 2A^2 + O(A^3) with A = sum_p theta_p E_p, so
+    M(theta) = M + 2(MA - AM) + 2(A^2 M + M A^2 - 2AMA) + O(A^3)."""
+    dim = len(R)
+    a, b = np.triu_indices(dim, 1)
+    pairs = np.arange(len(a))
+    E = np.zeros((len(a), dim, dim))
+    E[pairs, a, b], E[pairs, b, a] = 1.0, -1.0
+    M = R.T @ sigma @ R
+    s = np.sqrt(np.diag(M))
+    first = 2 * np.einsum("pii->pi", np.einsum("ij,pjk->pik", M, E)
+                          - np.einsum("pij,jk->pik", E, M))
+    second = 2 * np.einsum("pqii->pqi", np.einsum("pij,qjk,kl->pqil", E, E, M)
+                           + np.einsum("ij,pjk,qkl->pqil", M, E, E)
+                           - 2 * np.einsum("pij,jk,qkl->pqil", E, M, E))
+    second = second + second.transpose(1, 0, 2)
+    grad = c * first @ (0.5 / s)
+    hess = c * (second @ (0.5 / s) - np.einsum("pi,qi,i->pq", first, first,
+                                               0.25 / s ** 3))
+    return grad, hess
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_body_grad_matches_central_differences(dim):
+    # the gradient and Hessian of theta -> J(R cayley(theta)) at theta = 0,
+    # against finite differences and the second-order expansion
     rng = np.random.default_rng(11 + dim)
     sigma = tl.random_spd(rng, dim)
     R = tl._random_orthogonal(rng, dim)
-    eps = 1e-6
-    fd = []
-    for e in np.eye(dim * (dim - 1) // 2) * eps:
-        up = tl.j_closed_form(R @ tl._cayley(e, dim), sigma)
-        dn = tl.j_closed_form(R @ tl._cayley(-e, dim), sigma)
-        fd.append((up - dn) / (2 * eps))
-    grad = tl._body_grad(R, sigma, tl.GAUSSIAN_C)
+
+    def j(theta):
+        return tl.j_closed_form(R @ tl._cayley(theta, dim), sigma)
+
+    grad, hess = tl._derivatives(R, sigma, tl.GAUSSIAN_C)
+    basis = np.eye(dim * (dim - 1) // 2)
+    fd = [(j(e) - j(-e)) / 2e-6 for e in basis * 1e-6]
     assert np.linalg.norm(grad - fd) <= 1e-7 * np.linalg.norm(fd)
+    eps = 1e-4
+    fd = [[(j(e + f) - j(e - f) - j(f - e) + j(-e - f)) / (4 * eps * eps)
+           for f in basis * eps] for e in basis * eps]
+    assert np.array_equal(hess, hess.T)
+    assert np.linalg.norm(hess - fd) <= 1e-6 * np.linalg.norm(fd)
+    ref_grad, ref_hess = reference_derivatives(R, sigma, tl.GAUSSIAN_C)
+    assert np.abs(grad - ref_grad).max() <= 1e-13 * np.abs(ref_grad).max()
+    assert np.abs(hess - ref_hess).max() <= 1e-13 * np.abs(ref_hess).max()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_minimize_converges_to_analytic_minimum(dim):
+    # 15 Newton steps reach the closed-form minimum to rounding
+    rng = np.random.default_rng(30 + dim)
+    for seed in range(6):
+        sigma = tl.random_spd(rng, dim)
+        res = tl.minimize_over_so(sigma, restarts=8, seed=seed)
+        assert abs(res["j_star"] - res["j_analytic"]) <= 1e-12 * res["j_analytic"]
+        assert res["alignment"]["max_angle_deg"] <= 0.01
 
 
 def test_minimize_rejects_bad_dim():
@@ -161,52 +204,15 @@ def test_restart_axis_matches_per_matrix_calls(dim):
     thetas = rng.normal(0.0, 0.5, (4, dim * (dim - 1) // 2))
     Rs = tl._cayley(thetas, dim)
     assert np.array_equal(Rs, [tl._cayley(t, dim) for t in thetas])
-    assert np.array_equal(tl._body_grad(Rs, sigma, tl.GAUSSIAN_C),
-                          [tl._body_grad(R, sigma, tl.GAUSSIAN_C) for R in Rs])
+    grad, hess = tl._derivatives(Rs, sigma, tl.GAUSSIAN_C)
+    one = [tl._derivatives(R, sigma, tl.GAUSSIAN_C) for R in Rs]
+    assert np.array_equal(grad, [g for g, _ in one])
+    assert np.array_equal(hess, [h for _, h in one])
     R, j = tl._minimize(sigma, tl.GAUSSIAN_C, thetas, dim)
     for row, theta0 in enumerate(thetas):
         R_one, j_one = tl._minimize(sigma, tl.GAUSSIAN_C, theta0[None], dim)
         assert np.array_equal(R[row], R_one[0])
         assert j[row] == j_one[0]
-
-
-def reference_minimize(sigma, c, theta0, dim, iters=400, lr=0.05):
-    """_minimize as written before its index tables were built once: every
-    step calls np.triu_indices and np.eye afresh."""
-    def cayley(theta):
-        A = np.zeros(theta.shape[:-1] + (dim, dim))
-        A[(..., *np.triu_indices(dim, 1))] = theta
-        A -= np.swapaxes(A, -1, -2)
-        eye = np.eye(dim)
-        return np.linalg.solve(eye - A, eye + A)
-
-    def body_grad(R):
-        M = np.swapaxes(R, -1, -2) @ sigma @ R
-        H = M / np.sqrt(np.diagonal(M, axis1=-2, axis2=-1))[..., None, :]
-        return 2.0 * c * (H - np.swapaxes(H, -1, -2))[
-            (..., *np.triu_indices(dim, 1))]
-
-    R = cayley(theta0)
-    theta = ad.Param(np.zeros_like(theta0), "theta")
-    cfg = config.TrainConfig(steps=iters, warmup=0, lr=lr, weight_decay=0.0)
-    opt = trainer.AdamW({"theta": theta}, cfg)
-    for t in range(iters):
-        theta.value[:] = 0.0
-        theta.grad = body_grad(R)
-        opt.step(trainer.cosine_lr(t, cfg))
-        R = R @ cayley(theta.value)
-    return R, np.array([tl.j_closed_form(r, sigma, c) for r in R])
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
-def test_minimize_matches_reference_loop_bitwise(dim):
-    rng = np.random.default_rng(40 + dim)
-    sigma = tl.random_spd(rng, dim)
-    thetas = rng.normal(0.0, 0.5, (3, dim * (dim - 1) // 2))
-    R, j = tl._minimize(sigma, tl.GAUSSIAN_C, thetas, dim)
-    R_ref, j_ref = reference_minimize(sigma, tl.GAUSSIAN_C, thetas, dim)
-    assert R.tobytes() == R_ref.tobytes()
-    assert j.tobytes() == j_ref.tobytes()
 
 
 def test_alignment_report_degenerate_eigenspace():
