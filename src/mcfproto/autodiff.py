@@ -258,13 +258,13 @@ def gram_schmidt_6d(p):
         g2 = g[..., :, 1] + so3.cross(g[..., :, 2], b1)
         gb1 = g1 + so3.cross(b2, g[..., :, 2])
         # b2 = c2 / |c2|
-        gc2 = (g2 - (b2 * g2).sum(axis=-1, keepdims=True) * b2) / n2
+        gc2 = (g2 - so3.dot(b2, g2) * b2) / n2
         # c2 = a2 - (b1.a2) b1
-        proj = (b1 * gc2).sum(axis=-1, keepdims=True)
+        proj = so3.dot(b1, gc2)
         ga2 = gc2 - proj * b1
         gb1 = gb1 - proj * a2 - d * gc2
         # b1 = a1 / |a1|
-        ga1 = (gb1 - (b1 * gb1).sum(axis=-1, keepdims=True) * b1) / n1
+        ga1 = (gb1 - so3.dot(b1, gb1) * b1) / n1
         return (np.concatenate([ga1, ga2], axis=-1),)
 
     out.backward_fn = backward

@@ -8,13 +8,15 @@ Exit codes: 0 success, 1 validation failure, 2 runtime/numerical failure.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 from dataclasses import asdict
 
 from . import diagnostics, store, synthgym, theoremlab, trainer
-from .config import HeadConfig, TrainConfig, default_config, load_config
+from .config import (BOUNDS, HeadConfig, TrainConfig, config_error, default_config,
+                     load_config)
 from .head import load_checkpoint
 
 EXIT_OK = 0
@@ -69,7 +71,15 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _check_seed(flag, seed):
+    """Raise ValueError unless `seed` lies in train.seed's interval."""
+    if config_error("train.seed", 0, seed):
+        raise ValueError(f"{flag} must be in {BOUNDS['train.seed']}, got {seed}")
+
+
 def cmd_ablate(args):
+    for seed in args.seeds:
+        _check_seed("--seeds", seed)
     cfg, dataset, hc, _ = _set_up(args)
     results = trainer.ablation_suite(dataset, hc, TrainConfig(**cfg["train"]),
                                      seeds=args.seeds,
@@ -95,6 +105,7 @@ def cmd_diagnose(args):
 def cmd_verify_theorem(args):
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    _check_seed("--seed", args.seed)
     result = theoremlab.verify(dim=args.dim, trials=args.trials, seed=args.seed)
     for c in result["checks"]:
         print(
@@ -164,7 +175,10 @@ def _seed_list(text):
             f"not a comma-separated list of integers: {text!r}") from None
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process. Each command runs the module's
+    cmd_<command> function, looked up when it runs (see main)."""
     parser = argparse.ArgumentParser(
         prog="mcfproto",
         description="Motion-centric prototype action head laboratory",
@@ -179,7 +193,6 @@ def build_parser():
     p.add_argument("--episodes", type=int)
     p.add_argument("--noise", type=float)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train the action head")
     p.add_argument("--data", required=True)
@@ -187,21 +200,18 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--resume")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("ablate", help="run the six-row ablation suite")
     p.add_argument("--data", required=True)
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", type=_seed_list, default="0,1,2")
-    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("diagnose", help="run diagnostics on a checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--config")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("verify-theorem",
                        help="verify the eigenframe-optimality proposition")
@@ -209,7 +219,6 @@ def build_parser():
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify_theorem)
 
     return parser
 
@@ -236,7 +245,9 @@ def main(argv=None):
     if getattr(args, "out", None):
         args.out = resolve_out(args.out)
     try:
-        return args.func(args)
+        # by name, not a function stored in the cached parser, so that a
+        # function replaced on this module (a test's patch, a tracer) runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, RuntimeError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         inputs = {vars(args).get(k) for k in ("data", "config", "ckpt", "resume")}

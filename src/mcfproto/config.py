@@ -26,6 +26,9 @@ BOUNDS = {
                     "[0, inf)"),
     **dict.fromkeys(("gym.max_step", "head.beta", "train.lr", "train.eps"), "(0, inf)"),
     **dict.fromkeys(("train.beta1", "train.beta2", "train.val_fraction"), "[0, 1)"),
+    # unsigned 32-bit, so that a seed, and theoremlab's seed * 1000 + trial,
+    # fit a Philox key's unsigned 64 bits
+    **dict.fromkeys(("gym.seed", "train.seed"), "[0, 4294967295]"),
 }
 
 

@@ -23,6 +23,18 @@ def cross(a, b):
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], -1)
 
 
+def dot(a, b):
+    """a . b over a last axis of size 3, kept as an axis of size 1, by
+    components; bitwise equal to (a * b).sum(axis=-1, keepdims=True). numpy
+    adds fewer than 8 terms in order, starting from +0.0, so three -0.0
+    products sum to +0.0 here too."""
+    s = a[..., 0:1] * b[..., 0:1]
+    s += a[..., 1:2] * b[..., 1:2]
+    s += a[..., 2:3] * b[..., 2:3]
+    s += 0.0
+    return s
+
+
 def gram_schmidt(p):
     """Gram-Schmidt decode of 6D parameters (…, 6) into rotations (…, 3, 3).
 
@@ -32,13 +44,13 @@ def gram_schmidt(p):
     backward. Raises DegenerateParamError when n1 or n2 is below GS_EPS.
     """
     a1, a2 = p[..., :3], p[..., 3:]
-    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
+    n1 = np.sqrt(dot(a1, a1))
     if (n1 < GS_EPS).any():
         raise DegenerateParamError("first 6D column has near-zero norm")
     b1 = a1 / n1
-    d = (b1 * a2).sum(axis=-1, keepdims=True)
+    d = dot(b1, a2)
     c2 = a2 - d * b1
-    n2 = np.linalg.norm(c2, axis=-1, keepdims=True)
+    n2 = np.sqrt(dot(c2, c2))
     if (n2 < GS_EPS).any():
         raise DegenerateParamError("6D columns are near-collinear")
     b2 = c2 / n2
@@ -112,7 +124,7 @@ def draw_rotations(rng, n):
 
 def rotations_from_draws(axis, u):
     """Rotations (n, 3, 3) from draw_rotations output, of one stream or many."""
-    axis = axis / np.linalg.norm(axis, axis=1, keepdims=True)
+    axis = axis / np.sqrt(dot(axis, axis))
     return axis_angle_to_rotation(axis * _uniform_angle(u)[:, None])
 
 

@@ -137,7 +137,7 @@ def default_templates(max_step=DEFAULT_MAX_STEP):
 
 def _bounded_noise(noise, scale):
     """Noise rows (..., 3) pulled back onto the ball of radius `scale`."""
-    norms = np.linalg.norm(noise, axis=-1, keepdims=True)
+    norms = np.sqrt(so3.dot(noise, noise))
     over = norms > scale
     return np.where(over, noise * (scale / np.maximum(norms, 1e-300)), noise)
 

@@ -48,7 +48,8 @@ class EllipticalSampler:
 
     def sample(self, n, stream=0):
         rng = np.random.Generator(np.random.Philox(key=[self.seed, stream]))
-        return rng.normal(size=(n, self.dim)) @ self.root.T
+        # rng.normal's values, without its 0.0 + 1.0 * z
+        return rng.standard_normal((n, self.dim)) @ self.root.T
 
 
 def _check_orthogonal(R, tol=1e-9):
@@ -73,7 +74,12 @@ def j_monte_carlo(R, sampler, n, stream=0):
         raise ValueError("need at least 1000 samples")
     R = _check_orthogonal(R)
     a = sampler.sample(n, stream=stream) @ R
-    per_sample = np.abs(a, out=a).sum(axis=1)
+    np.abs(a, out=a)
+    # column by column, faster than .sum(axis=1) and, as numpy adds fewer than
+    # 8 terms in order, bitwise equal to it for every dim verify runs
+    per_sample = a[:, 0].copy()
+    for col in a.T[1:]:
+        per_sample += col
     return float(per_sample.mean()), float(per_sample.std(ddof=1) / np.sqrt(n))
 
 

@@ -12,7 +12,7 @@ import pytest
 import mcfproto
 import mcfproto.cli  # noqa: F401  imports every module the tracer wraps
 from mcfproto import autodiff as ad
-from mcfproto import head
+from mcfproto import cli, head
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -61,3 +61,24 @@ def test_tracing_keeps_arithmetic_bitwise(layers):
     for key in ("autodiff.compose_protos", "autodiff.compose_protos.bwd",
                 "autodiff.apply_frame", "autodiff.apply_frame.bwd"):
         assert tracer.stats[key][0] > 0, key  # calls
+
+
+def test_tracer_times_a_command_after_main_ran(layers, tmp_path):
+    # a benchmark client runs untraced rounds before it installs the tracer,
+    # so main has built its parser by then; the command must still be the
+    # tracer's wrapper
+    data, ckpt, out = tmp_path / "data.jsonl", tmp_path / "ckpt.json", tmp_path / "diag"
+    assert cli.main(["gen-data", "--out", str(data), "--episodes", "1"]) == cli.EXIT_OK
+    config = head.HeadConfig(hidden=4, k_trans=2, k_rot=2, horizon=2)
+    head.save_checkpoint(str(ckpt), head.init_params(config, np.random.default_rng(0)),
+                         config)
+    tracer = layers.Tracer(mcfproto)
+    tracer.install()
+    try:
+        assert cli.main(["diagnose", "--data", str(data), "--ckpt", str(ckpt),
+                         "--out", str(out)]) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    calls, _, self_s, report_bytes = tracer.stats["cli.cmd_diagnose"]
+    assert calls == 1 and self_s > 0
+    assert report_bytes == os.path.getsize(out / "report.json") > 0

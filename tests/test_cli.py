@@ -78,7 +78,8 @@ def test_bounds_table_checks_each_key(name):
         assert config.config_error(name, default, number(low)) is None
         outside = [low - 1 if number is int else np.nextafter(low, -np.inf)]
     if np.isfinite(high):
-        outside.append(high if interval[-1] == ")" else np.nextafter(high, np.inf))
+        outside.append(high if interval[-1] == ")" else
+                       high + 1 if number is int else np.nextafter(high, np.inf))
     for val in outside:
         error = config.config_error(name, default, number(val))
         assert error and error.startswith(f"config key {name} must be ")
@@ -805,6 +806,46 @@ def test_verify_theorem_tolerates_unlucky_monte_carlo(tmp_path):
 def test_verify_theorem_bad_args(capsys):
     assert run_cli(["verify-theorem", "--trials", "0"]) == cli.EXIT_VALIDATION
     assert run_cli(["verify-theorem", "--dim", "9"]) == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 32, 10 ** 23])
+@pytest.mark.parametrize("command, flag, named", [
+    ("gen-data", "--seed", "config key gym.seed"),
+    ("train", "--seed", "config key train.seed"),
+    ("ablate", "--seeds", "--seeds"),
+    ("verify-theorem", "--seed", "--seed"),
+])
+def test_seed_out_of_range_rejected(tmp_path, capsys, command, flag, named, seed):
+    data = tmp_path / "data.jsonl"
+    data.write_text(episode_line(step()))
+    out = tmp_path / "out"
+    argv = {"gen-data": ["gen-data", "--out", str(out / "d.jsonl")],
+            "train": ["train", "--data", str(data), "--out", str(out)],
+            "ablate": ["ablate", "--data", str(data), "--out", str(out)],
+            "verify-theorem": ["verify-theorem", "--out", str(out)]}[command]
+    if command != "verify-theorem":  # short runs, should a seed get through
+        argv += ["--config", small_config(tmp_path)]
+    value = f"0,{seed}" if command == "ablate" else str(seed)
+    assert run_cli(argv + [flag, value]) == cli.EXIT_VALIDATION
+    assert (capsys.readouterr().err
+            == f"error: {named} must be in [0, 4294967295], got {seed}\n")
+    assert not out.exists()
+
+
+def test_patched_command_runs_after_parser_is_built(monkeypatch):
+    # the parser is built once per process, and main looks each command up
+    # on the module when it runs it, so a later patch still takes effect
+    assert run_cli(["verify-theorem", "--dim", "2", "--trials", "1"]) == cli.EXIT_OK
+    assert cli.build_parser() is cli.build_parser()
+    dims = []
+
+    def patched(args):
+        dims.append(args.dim)
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_verify_theorem", patched)
+    assert run_cli(["verify-theorem", "--dim", "4"]) == cli.EXIT_OK
+    assert dims == [4]
 
 
 def test_out_root_env(tmp_path, monkeypatch):

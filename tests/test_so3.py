@@ -105,6 +105,90 @@ def test_cross_is_bitwise_np_cross(shape):
             == np.cross(m[..., 2], b).tobytes())
 
 
+# Test-side copies of the numpy forms that the component sums replaced: the
+# code must stay bitwise equal to them.
+
+def reference_gram_schmidt(p):
+    a1, a2 = p[..., :3], p[..., 3:]
+    n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
+    b1 = a1 / n1
+    d = (b1 * a2).sum(axis=-1, keepdims=True)
+    c2 = a2 - d * b1
+    n2 = np.linalg.norm(c2, axis=-1, keepdims=True)
+    b2 = c2 / n2
+    return np.stack([b1, b2, np.cross(b1, b2)], axis=-1), n1, n2, d
+
+
+def reference_gram_schmidt_backward(p, g):
+    R, n1, n2, d = reference_gram_schmidt(p)
+    b1, b2, a2 = R[..., :, 0], R[..., :, 1], p[..., 3:]
+    g2 = g[..., :, 1] + np.cross(g[..., :, 2], b1)
+    gb1 = g[..., :, 0] + np.cross(b2, g[..., :, 2])
+    gc2 = (g2 - (b2 * g2).sum(axis=-1, keepdims=True) * b2) / n2
+    proj = (b1 * gc2).sum(axis=-1, keepdims=True)
+    ga2 = gc2 - proj * b1
+    gb1 = gb1 - proj * a2 - d * gc2
+    ga1 = (gb1 - (b1 * gb1).sum(axis=-1, keepdims=True) * b1) / n1
+    return np.concatenate([ga1, ga2], axis=-1)
+
+
+def awkward_params(shape, seed):
+    """Random 6D parameters with signed zeros, three -0.0 products in b1 . a2,
+    and norms n1 and n2 just above GS_EPS."""
+    rng = np.random.default_rng(seed)
+    p = rng.normal(size=shape)
+    p.flat[::5] = -0.0
+    p.flat[::7] = 0.0
+    rows = p.reshape(-1, 6)
+    special = [[1.0, 0.0, 0.0, -0.0, -1.0, -2.0],  # b1 . a2 sums three -0.0
+               [1.5e-8, -0.0, 0.0, 0.3, -0.0, 2.0],  # n1 near GS_EPS
+               [1.0, 2.0, 3.0, 2.0, 4.0, 6.0 + 2e-8]]  # n2 near GS_EPS
+    rows[:len(special)] = special[:len(rows)]
+    return p
+
+
+@pytest.mark.parametrize("shape", [(6,), (5, 6), (64, 7, 6), (512, 1, 6)])
+def test_gram_schmidt_is_bitwise_numpy_reductions(shape):
+    p = awkward_params(shape, shape[0])
+    out, ref = so3.gram_schmidt(p), reference_gram_schmidt(p)
+    if p.size > 12:
+        assert out[1].reshape(-1)[1] < 2e-8 and out[2].reshape(-1)[2] < 2e-8
+    for got, want in zip(out, ref):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(6,), (5, 6), (64, 7, 6), (512, 1, 6)])
+def test_gram_schmidt_6d_backward_is_bitwise_numpy_reductions(shape):
+    p = awkward_params(shape, 100 + shape[0])
+    g = np.random.default_rng(shape[0]).normal(size=shape[:-1] + (3, 3))
+    g.flat[::4] = -0.0
+    node = ad.gram_schmidt_6d(ad.constant(p))
+    (got,) = node.backward_fn(g)
+    assert got.tobytes() == reference_gram_schmidt_backward(p, g).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (7, 3), (64, 7, 3), (100000, 3)])
+def test_dot_is_bitwise_sum(shape):
+    rng = np.random.default_rng(shape[0])
+    a, b = rng.normal(size=(2,) + shape) * 10.0 ** rng.integers(-8, 8, (2,) + shape)
+    a.flat[::5] = 0.0
+    b.flat[::4] = -0.0
+    a.reshape(-1, 3)[0], b.reshape(-1, 3)[0] = [0.0, 0.0, -0.0], [-1.0, -2.0, 3.0]
+    assert so3.dot(a, b).tobytes() == (a * b).sum(axis=-1, keepdims=True).tobytes()
+    m = rng.normal(size=shape[:-1] + (6,))  # strided views
+    assert (so3.dot(m[..., 3:], b).tobytes()
+            == (m[..., 3:] * b).sum(axis=-1, keepdims=True).tobytes())
+
+
+def test_rotations_from_draws_is_bitwise_numpy_norm():
+    axis, u = so3.draw_rotations(np.random.Generator(np.random.Philox(key=[5, 0])), 500)
+    axis[::7, 1] = -0.0
+    unit = axis / np.linalg.norm(axis, axis=1, keepdims=True)
+    want = so3.axis_angle_to_rotation(unit * so3._uniform_angle(u)[:, None])
+    assert so3.rotations_from_draws(axis, u).tobytes() == want.tobytes()
+
+
 def test_axis_angle():
     assert np.allclose(so3.axis_angle_to_rotation(np.zeros(3)), np.eye(3))
     assert np.allclose(so3.axis_angle_to_rotation(np.array([0, 0, np.pi / 2])),

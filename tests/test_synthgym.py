@@ -384,3 +384,18 @@ def test_generate_requires_templates():
 def test_generate_requires_episodes():
     with pytest.raises(ValueError, match="one episode per task"):
         synthgym.generate(synthgym.default_templates(), 0)
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (40, 2, 30, 3)])
+def test_bounded_noise_is_bitwise_numpy_norm(shape):
+    # the numpy form the component sums replaced
+    def reference(noise, scale):
+        norms = np.linalg.norm(noise, axis=-1, keepdims=True)
+        return np.where(norms > scale, noise * (scale / np.maximum(norms, 1e-300)),
+                        noise)
+
+    noise = np.random.default_rng(shape[0]).normal(0.0, 0.4, shape)
+    noise.flat[::5] = -0.0
+    noise.reshape(-1, 3)[:2] = [[0.0, -0.0, 0.0], [1.0, -0.0, 0.0]]
+    assert (synthgym._bounded_noise(noise, 1.0).tobytes()
+            == reference(noise, 1.0).tobytes())

@@ -91,6 +91,25 @@ def test_mc_requires_enough_samples():
         tl.j_monte_carlo(np.eye(3), tl.EllipticalSampler(np.eye(3)), 10)
 
 
+def reference_j_monte_carlo(R, sampler, n, stream):
+    """j_monte_carlo as written with rng.normal and .sum(axis=1)."""
+    rng = np.random.Generator(np.random.Philox(key=[sampler.seed, stream]))
+    a = rng.normal(size=(n, sampler.dim)) @ sampler.root.T @ R
+    per_sample = np.abs(a).sum(axis=1)
+    return float(per_sample.mean()), float(per_sample.std(ddof=1) / np.sqrt(n))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_j_monte_carlo_is_bitwise_reference(dim):
+    rng = np.random.default_rng(40 + dim)
+    sampler = tl.EllipticalSampler(tl.random_spd(rng, dim), seed=dim)
+    R = tl._random_orthogonal(rng, dim)
+    for stream in (0, 3):
+        got = tl.j_monte_carlo(R, sampler, 20000, stream)
+        want = reference_j_monte_carlo(R, sampler, 20000, stream)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_minimize_3d_lands_on_eigenframe():
     rng = np.random.default_rng(6)
     sigma = tl.random_spd(rng, 3, eigengap_ratio=1.2)
