@@ -165,6 +165,7 @@ def predict_step_outputs(params, config, obs):
         fwd = head_mod.head_forward(obs[lo:lo + _CHUNK], params, config)
         for key, rows in out.items():
             rows[lo:lo + _CHUNK] = getattr(fwd, key).value[:, 0]
+        del fwd  # before the next slice's forward builds
     return out
 
 

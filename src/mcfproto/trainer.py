@@ -142,14 +142,20 @@ class AdamW:
 
 def build_chunks(episodes, horizon):
     """One chunk per step: obs at t, targets t..t+H-1 (final action repeated
-    past the episode end so every step is a valid chunk start)."""
-    targets = []
+    past the episode end so every step is a valid chunk start).
+
+    Returns (obs, actions, rows): the episodes' (N, 7) actions, concatenated,
+    and the (N, H) integer rows whose actions[rows] are the chunk targets, so
+    a batch gathers its own targets instead of the set repeating each action
+    up to H times."""
+    rows, start = [], 0
     for ep in episodes:
         t_total = len(ep.actions)
-        steps = np.minimum(np.arange(t_total)[:, None] + np.arange(horizon),
-                           t_total - 1)
-        targets.append(ep.actions[steps])
-    return np.concatenate([ep.obs for ep in episodes]), np.concatenate(targets)
+        rows.append(start + np.minimum(np.arange(t_total)[:, None] + np.arange(horizon),
+                                       t_total - 1))
+        start += t_total
+    return (np.concatenate([ep.obs for ep in episodes]),
+            np.concatenate([ep.actions for ep in episodes]), np.concatenate(rows))
 
 
 def split_dataset(dataset, val_fraction, seed):
@@ -168,14 +174,17 @@ def split_dataset(dataset, val_fraction, seed):
     return train_eps, val_eps
 
 
-def eval_loss_act(obs, targets, params, config, batch=512):
-    """Mean per-step action loss over a chunk set (no regularizers)."""
+def eval_loss_act(obs, actions, rows, params, config, batch=512):
+    """Mean per-step action loss over a chunk set (no regularizers); the
+    chunk targets are actions[rows], as build_chunks returns them. Each
+    batch's tape is freed before the next forward builds."""
     total = 0.0
     n = len(obs)
     for i in range(0, n, batch):
         out = head_mod.head_forward(obs[i:i + batch], params, config)
-        node = head_mod.loss_act(out.world_action, targets[i:i + batch], config.beta)
+        node = head_mod.loss_act(out.world_action, actions[rows[i:i + batch]], config.beta)
         total += float(node.value) / config.horizon
+        del out, node
     return total / n
 
 
@@ -200,11 +209,9 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
     train_eps, val_eps = split_dataset(dataset, tc.val_fraction, tc.seed)
     if not train_eps:
         train_eps = list(dataset.episodes)
-    tr_obs, tr_tgt = build_chunks(train_eps, hc.horizon)
-    if val_eps:
-        va_obs, va_tgt = build_chunks(val_eps, hc.horizon)
-    else:
-        va_obs, va_tgt = tr_obs, tr_tgt
+    tr_obs, tr_actions, tr_rows = build_chunks(train_eps, hc.horizon)
+    val_set = build_chunks(val_eps, hc.horizon) if val_eps else (
+        tr_obs, tr_actions, tr_rows)
 
     params = head_mod.init_params(hc, np.random.Generator(np.random.Philox(key=[tc.seed, 0x1417])))
     opt = AdamW(params, tc)
@@ -275,19 +282,20 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
         rng = np.random.Generator(np.random.Philox(key=[tc.seed, 1 + step]))
         idx = rng.integers(0, n_chunks, tc.batch_size)
         loss_node, parts = head_mod.loss_total(
-            tr_obs[idx], tr_tgt[idx], params, hc
+            tr_obs[idx], tr_actions[tr_rows[idx]], params, hc
         )
         if not np.isfinite(loss_node.value):
             raise TrainingDiverged(step, float(loss_node.value))
         for p in params.values():
             p.zero_grad()
         ad.backward(loss_node)
+        del loss_node  # only the floats in parts are needed from here on
         lr = cosine_lr(step, tc)
         opt.step(lr)
 
         val = None
         if (step + 1) % tc.eval_interval == 0 or step + 1 == tc.steps:
-            val = eval_loss_act(va_obs, va_tgt, params, hc)
+            val = eval_loss_act(*val_set, params, hc)
             if val < best_val:
                 best_val = val
                 best_step = step + 1

@@ -4,6 +4,7 @@ or renames one of them, which would make every traced benchmark run die, or
 as soon as tracing changes what the program computes."""
 
 import importlib
+import json
 import os
 
 import numpy as np
@@ -82,3 +83,33 @@ def test_tracer_times_a_command_after_main_ran(layers, tmp_path):
     calls, _, self_s, report_bytes = tracer.stats["cli.cmd_diagnose"]
     assert calls == 1 and self_s > 0
     assert report_bytes == os.path.getsize(out / "report.json") > 0
+
+
+def test_traced_train_records_its_spans_and_writes_the_same_files(layers, tmp_path):
+    # the train workload's traced rounds call build_chunks and eval_loss_act
+    # through the tracer's wrappers; the run's files must not change
+    data, cfg = tmp_path / "data.jsonl", tmp_path / "train.json"
+    assert cli.main(["gen-data", "--out", str(data), "--episodes", "2"]) == cli.EXIT_OK
+    cfg.write_text(json.dumps({"train": {"steps": 20, "warmup": 2, "eval_interval": 10,
+                                         "ckpt_interval": 10}}))
+
+    def train(out):
+        return cli.main(["train", "--data", str(data), "--config", str(cfg),
+                         "--out", str(out)])
+
+    assert train(tmp_path / "plain") == cli.EXIT_OK
+    tracer = layers.Tracer(mcfproto)
+    tracer.install()
+    try:
+        assert train(tmp_path / "traced") == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["trainer.build_chunks"][0] == 2  # train and val chunks
+    assert tracer.stats["trainer.eval_loss_act"][0] == 2  # steps 10 and 20
+    names = sorted(os.listdir(tmp_path / "plain"))
+    assert "ckpt_10.json" in names and "ckpt_best.json" in names
+    assert sorted(os.listdir(tmp_path / "traced")) == names
+    for name in names:
+        if name == "metrics.csv" or name.startswith("ckpt_"):
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "traced" / name).read_bytes() == plain, name

@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -70,13 +71,40 @@ def test_adamw_zero_grad_step_only_decays():
 def test_build_chunks_padding():
     ds = tiny_dataset(episodes=1)
     ep = ds.episodes[0]
-    obs, tgt = trainer.build_chunks([ep], horizon=4)
+    obs, actions, rows = trainer.build_chunks([ep], horizon=4)
+    tgt = actions[rows]
     t_total = len(ep.actions)
     assert obs.shape == (t_total, ep.obs.shape[1])
     assert tgt.shape == (t_total, 4, 7)
     assert np.array_equal(tgt[0], ep.actions[:4])
     # last chunk repeats the final action
     assert np.array_equal(tgt[-1], np.repeat(ep.actions[-1:], 4, axis=0))
+
+
+def _materialized_targets(episodes, horizon):
+    """The chunk targets as one (T, H, 7) copy per episode, concatenated."""
+    targets = []
+    for ep in episodes:
+        t_total = len(ep.actions)
+        steps = np.minimum(np.arange(t_total)[:, None] + np.arange(horizon),
+                           t_total - 1)
+        targets.append(ep.actions[steps])
+    return np.concatenate(targets)
+
+
+def test_build_chunks_rows_gather_the_materialized_targets():
+    # episodes shorter than, as long as and longer than the horizon
+    rng = np.random.default_rng(5)
+    episodes = [synthgym.Episode("t", 0, np.eye(3), rng.normal(size=(t, 4)),
+                                 rng.normal(size=(t, 7))) for t in (1, 3, 4, 12)]
+    for horizon in (1, 4, 7):
+        obs, actions, rows = trainer.build_chunks(episodes, horizon)
+        assert obs.shape == (20, 4) and actions.shape == (20, 7)
+        assert np.issubdtype(rows.dtype, np.integer)
+        assert rows.shape == (20, horizon)
+        want = _materialized_targets(episodes, horizon)
+        assert actions[rows].shape == want.shape
+        assert actions[rows].tobytes() == want.tobytes()
 
 
 def test_split_dataset_stratified_and_deterministic():
@@ -389,10 +417,66 @@ def test_eval_loss_batch_size_invariant():
     ds = tiny_dataset()
     hc, tc = tiny_configs()
     params = head.init_params(hc, np.random.default_rng(1))
-    obs, tgt = trainer.build_chunks(ds.episodes, hc.horizon)
-    a = trainer.eval_loss_act(obs, tgt, params, hc, batch=7)
-    b = trainer.eval_loss_act(obs, tgt, params, hc, batch=512)
+    chunks = trainer.build_chunks(ds.episodes, hc.horizon)
+    a = trainer.eval_loss_act(*chunks, params, hc, batch=7)
+    b = trainer.eval_loss_act(*chunks, params, hc, batch=512)
     assert a == pytest.approx(b, rel=1e-12)
+
+
+class _TapeWatch:
+    """Watches every head.head_forward and head.loss_total call, and fails
+    when one starts while an earlier call's tape is still alive.
+
+    A tape node has __slots__ and no __weakref__, so the watch keeps a weakref
+    to the value array of each call's world-action or loss node: only the
+    tape holds that array. No gc.collect() runs: a tape has no reference
+    cycles, so reference counting alone must free it."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self.refs = 0, []
+        for name, node_of in (("head_forward", lambda out: out.world_action),
+                              ("loss_total", lambda out: out[0])):
+            monkeypatch.setattr(head, name, self._watch(getattr(head, name), node_of))
+
+    def _watch(self, fn, node_of):
+        def watched(*args, **kwargs):
+            alive = [ref for ref in self.refs if ref() is not None]
+            assert not alive, f"call {self.calls} starts with {len(alive)} tape(s) alive"
+            self.calls += 1
+            result = fn(*args, **kwargs)
+            self.refs.append(weakref.ref(node_of(result).value))
+            return result
+        return watched
+
+
+def test_eval_loss_act_holds_one_tape_at_a_time(monkeypatch):
+    ds = tiny_dataset()
+    hc, _ = tiny_configs()
+    params = head.init_params(hc, np.random.default_rng(1))
+    chunks = trainer.build_chunks(ds.episodes, hc.horizon)
+    watch = _TapeWatch(monkeypatch)
+    trainer.eval_loss_act(*chunks, params, hc, batch=7)
+    assert watch.calls >= 3
+
+
+def test_predict_step_outputs_holds_one_tape_at_a_time(monkeypatch):
+    hc, _ = tiny_configs()
+    params = head.init_params(hc, np.random.default_rng(1))
+    obs = np.random.default_rng(2).normal(size=(23, hc.obs_dim))
+    monkeypatch.setattr(diagnostics, "_CHUNK", 5)
+    watch = _TapeWatch(monkeypatch)
+    diagnostics.predict_step_outputs(params, hc, obs)
+    assert watch.calls == 5
+
+
+def test_train_step_loop_holds_one_tape_at_a_time(monkeypatch):
+    # each step's loss tape is gone before the next step's forward and
+    # before every eval forward
+    ds = tiny_dataset()
+    hc, tc = tiny_configs(steps=5, warmup=1, eval_interval=2)
+    watch = _TapeWatch(monkeypatch)
+    trainer.train(ds, hc, tc)
+    assert watch.calls >= 2 * 5 + 3  # a step's loss_total runs one head_forward
 
 
 def test_ablation_config_rows():
