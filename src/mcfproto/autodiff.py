@@ -1,11 +1,11 @@
 """Reverse-mode differentiation on a small array-valued tape.
 
-The primitive set is closed over everything the action head's forward pass
-needs: dense linear layers, tanh, softmax, the 6D rotation decode, batched
-matmul, and the three loss shapes (L1, Smooth-L1, trace/clamp geodesic).
-Prototype composition and frame application are matmul/reshape compositions
-with no backward of their own. Everything is float64; gradients are exact
-vector-Jacobian products, no numerical approximation anywhere in backward.
+The primitive set covers the action head's graph: dense linear layers, tanh,
+softmax, the 6D rotation decode, batched matmul, and the three loss shapes.
+The head computes that graph in numpy with its own backward and hands
+backward one node (head.loss_total); the primitives serve the benchmark's
+tracer and the tests' reference of the head graph. Everything is float64;
+gradients are exact vector-Jacobian products, no numerical approximation.
 
 L1 and Smooth-L1 nodes record their residuals as "kink values" so that
 gradcheck can exclude finite-difference evaluations that straddle a
@@ -33,14 +33,18 @@ class Node:
 
 
 class Param(Node):
-    """A trainable tensor with a persistent gradient accumulator."""
+    """A trainable tensor with a persistent gradient accumulator. Assigning
+    to .grad writes into the accumulator, which trainer.AdamW rebinds to a
+    view of its flat gradient vector."""
 
-    __slots__ = ("name", "grad")
+    __slots__ = ("name", "_grad")
+    grad = property(lambda self: self._grad,
+                    lambda self, value: np.copyto(self._grad, value))
 
     def __init__(self, value, name):
         super().__init__(np.array(value, dtype=float))
         self.name = name
-        self.grad = np.zeros_like(self.value)
+        self._grad = np.zeros_like(self.value)
 
     def zero_grad(self):
         self.grad[...] = 0.0
@@ -248,26 +252,9 @@ def linear(x, W, b):
 
 def gram_schmidt_6d(p):
     """(…, 6) -> (…, 3, 3) rotation via so3.gram_schmidt, analytic backward."""
-    R, n1, n2, d = so3.gram_schmidt(p.value)
-    b1, b2 = R[..., :, 0], R[..., :, 1]
-    a2 = p.value[..., 3:]
-    out = Node(R, (p,))
-
-    def backward(g):
-        g1 = g[..., :, 0]
-        g2 = g[..., :, 1] + so3.cross(g[..., :, 2], b1)
-        gb1 = g1 + so3.cross(b2, g[..., :, 2])
-        # b2 = c2 / |c2|
-        gc2 = (g2 - so3.dot(b2, g2) * b2) / n2
-        # c2 = a2 - (b1.a2) b1
-        proj = so3.dot(b1, gc2)
-        ga2 = gc2 - proj * b1
-        gb1 = gb1 - proj * a2 - d * gc2
-        # b1 = a1 / |a1|
-        ga1 = (gb1 - so3.dot(b1, gb1) * b1) / n1
-        return (np.concatenate([ga1, ga2], axis=-1),)
-
-    out.backward_fn = backward
+    decoded = so3.gram_schmidt(p.value)
+    out = Node(decoded[0], (p,))
+    out.backward_fn = lambda g: (so3.gram_schmidt_backward(p.value, decoded, g),)
     return out
 
 
@@ -349,7 +336,7 @@ def backward(loss):
         if g is None:
             continue
         if isinstance(node, Param):
-            node.grad += g
+            np.add(node.grad, g, out=node.grad)
         if node.backward_fn is None:
             continue
         parent_grads = node.backward_fn(np.asarray(g))

@@ -14,7 +14,7 @@ from . import head as head_mod
 from . import kernels, linalg, synthgym
 
 # Rows per head forward: the fastest of 64-2048 on 2 vCPUs with one BLAS
-# thread, and a tape of a few MB.
+# thread, and well under 1 MB of forward arrays.
 _CHUNK = 256
 
 # E[arccos(max_i |v_i|)] in degrees for v uniform on S^2, the mean compatibility
@@ -153,7 +153,7 @@ def predict_step_outputs(params, config, obs):
 
     Runs the head cut to its first horizon slot (head.first_slot) on slices of
     _CHUNK rows, giving one frame and one gating pair per row; only one
-    slice's tape is alive at a time.
+    slice's arrays are alive at a time.
     """
     params, config = head_mod.first_slot(params, config)
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
@@ -165,7 +165,7 @@ def predict_step_outputs(params, config, obs):
         fwd = head_mod.head_forward(obs[lo:lo + _CHUNK], params, config)
         for key, rows in out.items():
             rows[lo:lo + _CHUNK] = getattr(fwd, key).value[:, 0]
-        del fwd  # before the next slice's forward builds
+        del fwd  # before the next slice's forward
     return out
 
 

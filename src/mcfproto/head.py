@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import store
+from . import so3, store
 from .config import ACTION_DIM, HeadConfig
 
 CHECKPOINT_SCHEMA = 2
@@ -27,7 +27,7 @@ CHECKPOINT_SCHEMA = 2
 
 @dataclass
 class HeadOutput:
-    """Forward-pass bundle; fields are tape nodes (use .value for arrays)."""
+    """Forward-pass bundle; fields are parentless nodes (.value is the array)."""
 
     latent: ad.Node
     frames: ad.Node          # (B, H, 3, 3)
@@ -126,71 +126,48 @@ def init_params(config, rng):
     return params
 
 
-def encode(obs, params):
-    """Two-layer tanh encoder: observation features -> latent h."""
-    obs = obs if isinstance(obs, ad.Node) else ad.constant(obs)
-    h1 = ad.tanh(ad.linear(obs, params["enc.w1"], params["enc.b1"]))
-    return ad.tanh(ad.linear(h1, params["enc.w2"], params["enc.b2"]))
+def _forward(obs, params, config):
+    """The head on plain arrays: a dict of the HeadOutput fields and of every
+    array the backward reads. Raises so3.DegenerateParamError when a predicted
+    6D frame parameter cannot be decoded."""
+    v = {k: p.value for k, p in params.items()}
+    f = {"obs": np.atleast_2d(np.asarray(obs, dtype=float))}
+    batch, horizon, d = len(f["obs"]), config.horizon, config.d
 
+    def linear(x, name, i=""):
+        return x @ v[f"{name}.w{i}"].T + v[f"{name}.b{i}"]
 
-def predict_frame(h, params, config):
-    """Frame head: latent -> per-step rotations (B, H, 3, 3).
-
-    Raises so3.DegenerateParamError when a predicted 6D parameter cannot be
-    decoded.
-    """
-    batch = h.shape[0]
-    fh = ad.tanh(ad.linear(h, params["frame.w1"], params["frame.b1"]))
-    p6 = ad.linear(fh, params["frame.w2"], params["frame.b2"])
-    p6 = ad.reshape(p6, (batch, config.horizon, 6))
-    return ad.gram_schmidt_6d(p6)
-
-
-def compose_local(h, params, config, kind):
-    """Gating-weighted prototype composition for one dictionary.
-
-    kind is "trans" or "rot"; returns (local (B,H,3), pi, z) nodes.
-    """
-    prefix = "t" if kind == "trans" else "r"
-    k = config.k_trans if kind == "trans" else config.k_rot
-    batch = h.shape[0]
-    logits = ad.linear(h, params[f"gate_{prefix}.w"], params[f"gate_{prefix}.b"])
-    pi = ad.softmax(ad.reshape(logits, (batch, config.horizon, k)))
-    z = ad.linear(h, params[f"scale_{prefix}.w"], params[f"scale_{prefix}.b"])
-    z = ad.reshape(z, (batch, config.horizon, config.d))
-    local = ad.compose_protos(pi, params[f"dict_{kind}"], z)
-    return local, pi, z
+    f["h1"] = np.tanh(linear(f["obs"], "enc", 1))
+    f["latent"] = h = np.tanh(linear(f["h1"], "enc", 2))
+    if config.learn_frame:
+        f["fh"] = np.tanh(linear(h, "frame", 1))
+        f["p6"] = linear(f["fh"], "frame", 2).reshape(batch, horizon, 6)
+        f["gs"] = so3.gram_schmidt(f["p6"])
+        f["frames"] = f["gs"][0]
+    else:
+        f["frames"] = np.broadcast_to(np.eye(3), (batch, horizon, 3, 3)).copy()
+    world = []
+    for kind, k in (("trans", config.k_trans), ("rot", config.k_rot)):
+        pi = linear(h, f"gate_{kind[0]}").reshape(batch, horizon, k)
+        pi = np.exp(pi - pi.max(axis=-1, keepdims=True))  # softmax
+        pi /= pi.sum(axis=-1, keepdims=True)
+        z = linear(h, f"scale_{kind[0]}").reshape(batch, horizon, d)
+        mix = (pi @ v[f"dict_{kind}"].reshape(k, 3 * d)).reshape(batch, horizon, 3, d)
+        local = (mix @ z.reshape(batch, horizon, d, 1)).reshape(batch, horizon, 3)
+        f.update({f"gating_{kind}": pi, f"scales_{kind}": z, f"mix_{kind}": mix,
+                  f"local_{kind}": local})
+        world.append((f["frames"] @ local.reshape(batch, horizon, 3, 1))
+                     .reshape(batch, horizon, 3))
+    rest = linear(h, "rest").reshape(batch, horizon, ACTION_DIM - 6)
+    f["world_action"] = np.concatenate(world + [rest], axis=-1)
+    return f
 
 
 def head_forward(obs, params, config):
-    """Full forward pass; obs is (B, obs_dim)."""
-    obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    batch = obs.shape[0]
-    h = encode(obs, params)
-    if config.learn_frame:
-        frames = predict_frame(h, params, config)
-    else:
-        frames = ad.constant(
-            np.broadcast_to(np.eye(3), (batch, config.horizon, 3, 3)).copy()
-        )
-    local_t, pi_t, z_t = compose_local(h, params, config, "trans")
-    local_r, pi_r, z_r = compose_local(h, params, config, "rot")
-    world_t = ad.apply_frame(frames, local_t)
-    world_r = ad.apply_frame(frames, local_r)
-    rest = ad.linear(h, params["rest.w"], params["rest.b"])
-    rest = ad.reshape(rest, (batch, config.horizon, ACTION_DIM - 6))
-    world = ad.concat_last([world_t, world_r, rest])
-    return HeadOutput(
-        latent=h,
-        frames=frames,
-        gating_trans=pi_t,
-        gating_rot=pi_r,
-        scales_trans=z_t,
-        scales_rot=z_r,
-        local_trans=local_t,
-        local_rot=local_r,
-        world_action=world,
-    )
+    """Full forward pass; obs is (B, obs_dim). Builds no tape: each field is
+    a parentless node over its array, read through .value."""
+    f = _forward(obs, params, config)
+    return HeadOutput(**{name: ad.Node(f[name]) for name in HeadOutput.__annotations__})
 
 
 def first_slot(params, config):
@@ -206,76 +183,138 @@ def first_slot(params, config):
 
 
 # ---------------------------------------------------------------------------
-# losses
+# losses: each returns its value and vjp, vjp(s) the gradient of s * loss
 # ---------------------------------------------------------------------------
 
 def loss_act(pred, target, beta):
-    """Summed action loss: L1 on trans and grip blocks, Smooth-L1 on rot."""
+    """Summed action loss: L1 on trans and grip blocks, Smooth-L1 on rot.
+
+    pred, target: (..., ACTION_DIM) arrays. Returns (loss, vjp with respect
+    to pred, kinks): the kinks, L1 residuals and |r| - beta of rot, are 0
+    where the loss is not smooth."""
     target = np.asarray(target, dtype=float)
-    lt = ad.l1_loss(ad.slice_axis(pred, -1, 0, 3), target[..., 0:3])
-    lg = ad.l1_loss(ad.slice_axis(pred, -1, 6, ACTION_DIM), target[..., 6:])
-    lr = ad.smooth_l1_loss(ad.slice_axis(pred, -1, 3, 6), target[..., 3:6], beta)
-    return ad.add(ad.add(lt, lg), lr)
+    r_t, r_g = pred[..., 0:3] - target[..., 0:3], pred[..., 6:] - target[..., 6:]
+    r = pred[..., 3:6] - target[..., 3:6]
+    a = np.abs(r)
+    loss = (np.abs(r_t).sum() + np.abs(r_g).sum()
+            + np.where(a < beta, 0.5 * r * r / beta, a - 0.5 * beta).sum())
+
+    def vjp(scale):
+        grad = np.empty(pred.shape)
+        grad[..., 0:3], grad[..., 6:] = scale * np.sign(r_t), scale * np.sign(r_g)
+        grad[..., 3:6] = scale * np.where(a < beta, r / beta, np.sign(r))
+        return grad
+
+    return loss, vjp, np.concatenate([a - beta, r_g, r_t], axis=None)
 
 
-def loss_ortho(dict_trans, dict_rot):
-    """Gram-matrix orthogonality penalty on both dictionaries.
+def loss_ortho(dictionaries):
+    """Gram-matrix orthogonality penalty, summed over the dictionaries.
 
     Each 3xd prototype is flattened (row-major) to a length-3d vector; the
     flattened prototypes form the columns of a (3d x K) matrix B and the
-    penalty is ||B^T B - I_K||_F^2, summed over the two dictionaries.
+    penalty is ||B^T B - I_K||_F^2. vjp gives one gradient per dictionary.
     """
-    total = None
-    for dic in (dict_trans, dict_rot):
-        k = dic.shape[0]
-        flat = ad.reshape(dic, (k, dic.shape[1] * dic.shape[2]))
-        gram = ad.matmul(flat, ad.transpose(flat))
-        err = ad.sub(gram, np.eye(k))
-        term = ad.arr_sum(ad.mul(err, err))
-        total = term if total is None else ad.add(total, term)
-    return total
+    flats = [dic.reshape(len(dic), -1) for dic in dictionaries]
+    errs = [flat @ flat.T - np.eye(len(flat)) for flat in flats]
+
+    def vjp(scale):
+        grads = []
+        for dic, flat, err in zip(dictionaries, flats, errs):
+            g = scale * err
+            g = g + g  # err * err holds err twice
+            grads.append((g @ flat + (flat.T @ g).T).reshape(dic.shape))
+        return grads
+
+    return sum((err * err).sum() for err in errs), vjp
 
 
 def loss_smooth_chunk(frames):
     """Mean geodesic smoothness over consecutive frame pairs within chunks.
 
-    frames: (B, H, 3, 3) node; returns a scalar node (0 if H == 1).
-    """
-    horizon = frames.shape[1]
-    if horizon < 2:  # trainer.train warns once per run
-        return ad.constant(0.0)
-    prev = ad.slice_axis(frames, 1, 0, horizon - 1)
-    cur = ad.slice_axis(frames, 1, 1, horizon)
-    tr = ad.sum_last2(ad.mul(prev, cur))
-    cos = ad.clamp(ad.affine(tr, 0.5, -0.5), -1.0, 1.0)
-    return ad.arr_mean(ad.affine(cos, -1.0, 1.0))
+    frames: (B, H, 3, 3). vjp gives the gradients with respect to
+    frames[:, :-1] and frames[:, 1:]; at H == 1 the loss is 0, vjp None."""
+    if frames.shape[1] < 2:  # trainer.train warns once per run
+        return 0.0, None
+    prev, cur = frames[:, :-1], frames[:, 1:]
+    x = 0.5 * (prev * cur).sum(axis=(-2, -1)) + -0.5
+    cos = np.clip(x, -1.0, 1.0)
+
+    def vjp(scale):
+        g = 0.5 * (-1.0 * (scale / cos.size) * ((x > -1.0) & (x < 1.0)))
+        return g[..., None, None] * cur, g[..., None, None] * prev
+
+    return (-1.0 * cos + 1.0).mean(), vjp
+
+
+def _backward(f, params, config, g_world, g_smooth, g_dicts):
+    """Gradients by tensor name, from the forward's arrays f and the losses'
+    gradients with respect to the world action, the frame slices of
+    loss_smooth_chunk (or None) and the dictionaries."""
+    v = {k: p.value for k, p in params.items()}
+    batch, horizon, d = len(f["obs"]), config.horizon, config.d
+    grads, g_h, g_frames = {}, [], None
+
+    def linear(g, x, name, i=""):
+        grads[f"{name}.w{i}"], grads[f"{name}.b{i}"] = g.T @ x, g.sum(axis=0)
+        return g @ v[f"{name}.w{i}"]
+
+    for j, kind in enumerate(("trans", "rot")):
+        g4 = g_world[..., 3 * j:3 * j + 3].reshape(batch, horizon, 3, 1)
+        if config.learn_frame:
+            local4 = f[f"local_{kind}"].reshape(batch, horizon, 3, 1)
+            g_frame = g4 @ np.swapaxes(local4, -1, -2)
+            g_frames = g_frame if g_frames is None else g_frames + g_frame
+        g4 = np.swapaxes(f["frames"], -1, -2) @ g4  # with respect to local
+        z4 = f[f"scales_{kind}"].reshape(batch, horizon, d, 1)
+        g_mix = (g4 @ np.swapaxes(z4, -1, -2)).reshape(batch, horizon, 3 * d)
+        g_z = (np.swapaxes(f[f"mix_{kind}"], -1, -2) @ g4).reshape(batch, horizon * d)
+        dic, pi = v[f"dict_{kind}"], f[f"gating_{kind}"]
+        g_pi = g_mix @ dic.reshape(len(dic), 3 * d).T
+        g_pi = pi * (g_pi - (pi * g_pi).sum(axis=-1, keepdims=True))  # softmax
+        g_dic = (np.swapaxes(pi, -1, -2) @ g_mix).sum(axis=0).reshape(dic.shape)
+        grads[f"dict_{kind}"] = g_dic + g_dicts[j]
+        g_h += [linear(g_pi.reshape(batch, -1), f["latent"], f"gate_{kind[0]}"),
+                linear(g_z, f["latent"], f"scale_{kind[0]}")]
+    g_h.append(linear(g_world[..., 6:].reshape(batch, -1), f["latent"], "rest"))
+    if config.learn_frame:
+        if g_smooth is not None:
+            g_frames[:, :-1] += g_smooth[0]
+            g_frames[:, 1:] += g_smooth[1]
+        g_p6 = so3.gram_schmidt_backward(f["p6"], f["gs"], g_frames)
+        g_fh = linear(g_p6.reshape(batch, -1), f["fh"], "frame", 2)
+        g_h.append(linear(g_fh * (1.0 - f["fh"] * f["fh"]), f["latent"], "frame", 1))
+    g = sum(g_h[1:], g_h[0])
+    g = linear(g * (1.0 - f["latent"] * f["latent"]), f["h1"], "enc", 2)
+    g = g * (1.0 - f["h1"] * f["h1"])
+    grads["enc.w1"], grads["enc.b1"] = g.T @ f["obs"], g.sum(axis=0)
+    return grads
 
 
 def loss_total(obs, targets, params, config):
     """Total objective on a batch of chunks.
 
-    obs: (B, obs_dim); targets: (B, H, ACTION_DIM). Returns (loss_node, parts)
-    where parts holds the float values of the individual terms.
-    """
-    out = head_forward(obs, params, config)
-    n_steps = out.world_action.value.shape[0] * out.world_action.value.shape[1]
-    act = ad.affine(loss_act(out.world_action, targets, config.beta), 1.0 / n_steps)
-    ortho = loss_ortho(params["dict_trans"], params["dict_rot"])
-    smooth = loss_smooth_chunk(out.frames)
-    total = ad.add(
-        act,
-        ad.add(
-            ad.affine(ortho, config.lambda_ortho),
-            ad.affine(smooth, config.lambda_smooth),
-        ),
-    )
-    parts = {
-        "loss_act": float(act.value),
-        "loss_ortho": float(ortho.value),
-        "loss_smooth": float(smooth.value),
-        "loss_total": float(total.value),
-    }
-    return total, parts
+    obs: (B, obs_dim); targets: (B, H, ACTION_DIM). Returns (loss_node,
+    parts), parts the float values of the terms; loss_node is one tape node
+    over the params, with the head's backward and loss_act's kinks."""
+    f = _forward(obs, params, config)
+    n_steps = len(f["obs"]) * config.horizon
+    act, act_vjp, kinks = loss_act(f["world_action"], targets, config.beta)
+    act = 1.0 / n_steps * act + 0.0
+    ortho, ortho_vjp = loss_ortho([params["dict_trans"].value, params["dict_rot"].value])
+    smooth, smooth_vjp = loss_smooth_chunk(f["frames"])
+    total = act + ((config.lambda_ortho * ortho + 0.0)
+                   + (config.lambda_smooth * smooth + 0.0))
+
+    def backward(g):
+        grads = _backward(f, params, config, act_vjp(1.0 / n_steps * g),
+                          smooth_vjp and smooth_vjp(config.lambda_smooth * g),
+                          ortho_vjp(config.lambda_ortho * g))
+        return tuple(grads.get(k) for k in params)
+
+    parts = {"loss_act": float(act), "loss_ortho": float(ortho),
+             "loss_smooth": float(smooth), "loss_total": float(total)}
+    return ad.Node(total, tuple(params.values()), backward, kinks), parts
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,21 @@ class DegenerateParamError(ArithmeticError):
     near-collinear a1, a2)."""
 
 
-def cross(a, b):
-    """a x b over the last axis, by components; bitwise equal to np.cross."""
+def cross(a, b, out=None):
+    """a x b over the last axis, by components, into `out` if given; bitwise
+    equal to np.cross."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]  # np.moveaxis costs more than
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]  # the arithmetic at (64, 7, 3)
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], -1)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape)) if out is None else out
+    c0, c1, c2 = out[..., 0], out[..., 1], out[..., 2]
+    tmp = np.multiply(a2, b1, out=np.empty(out.shape[:-1]))  # np.cross's steps
+    np.multiply(a1, b2, out=c0)
+    c0 -= tmp
+    np.multiply(a2, b0, out=c1)
+    c1 -= np.multiply(a0, b2, out=tmp)
+    np.multiply(a0, b1, out=c2)
+    c2 -= np.multiply(a1, b0, out=tmp)
+    return out
 
 
 def dot(a, b):
@@ -47,14 +57,34 @@ def gram_schmidt(p):
     n1 = np.sqrt(dot(a1, a1))
     if (n1 < GS_EPS).any():
         raise DegenerateParamError("first 6D column has near-zero norm")
-    b1 = a1 / n1
+    R = np.empty(p.shape[:-1] + (3, 3))  # columns b1, b2, b1 x b2
+    b1 = np.divide(a1, n1, out=R[..., :, 0])
     d = dot(b1, a2)
     c2 = a2 - d * b1
     n2 = np.sqrt(dot(c2, c2))
     if (n2 < GS_EPS).any():
         raise DegenerateParamError("6D columns are near-collinear")
-    b2 = c2 / n2
-    return np.stack([b1, b2, cross(b1, b2)], axis=-1), n1, n2, d
+    b2 = np.divide(c2, n2, out=R[..., :, 1])
+    cross(b1, b2, R[..., :, 2])
+    return R, n1, n2, d
+
+
+def gram_schmidt_backward(p, decoded, g):
+    """The gradient with respect to p, (…, 6), from g, the gradient with
+    respect to the rotations; decoded is gram_schmidt(p)."""
+    R, n1, n2, d = decoded
+    b1, b2, a2 = R[..., :, 0], R[..., :, 1], p[..., 3:]
+    g2 = g[..., :, 1] + cross(g[..., :, 2], b1)
+    gb1 = g[..., :, 0] + cross(b2, g[..., :, 2])
+    # b2 = c2 / |c2|
+    gc2 = (g2 - dot(b2, g2) * b2) / n2
+    # c2 = a2 - (b1.a2) b1
+    proj = dot(b1, gc2)
+    ga2 = gc2 - proj * b1
+    gb1 = gb1 - proj * a2 - d * gc2
+    # b1 = a1 / |a1|
+    ga1 = (gb1 - dot(b1, gb1) * b1) / n1
+    return np.concatenate([ga1, ga2], axis=-1)
 
 
 def decode_6d(p):

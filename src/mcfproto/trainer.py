@@ -81,11 +81,13 @@ class AdamW:
 
     def __init__(self, params, config):
         self.params, self.cfg, self.step_count = params, config, 0
-        # one flat vector holds every parameter; each Param.value views its slice
+        # one flat vector of values, one of gradients; each Param views its slices
         self.flat = np.concatenate([p.value for p in params.values()], axis=None)
+        self.grad = np.concatenate([p.grad for p in params.values()], axis=None)
         sizes = [p.value.size for p in params.values()]
         for p, end in zip(params.values(), np.cumsum(sizes)):
             p.value = self.flat[end - p.value.size:end].reshape(p.value.shape)
+            p._grad = self.grad[end - p.value.size:end].reshape(p.value.shape)
         self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
         self.scratch = np.empty_like(self.flat), np.empty_like(self.flat)
         decay = np.concatenate([np.full(p.value.size, (
@@ -103,14 +105,13 @@ class AdamW:
         c = self.cfg
         bc1 = 1.0 - c.beta1 ** self.step_count
         bc2 = 1.0 - c.beta2 ** self.step_count
-        g, u = self.scratch
-        np.concatenate([p.grad for p in self.params.values()], axis=None, out=g)
+        g, (u, w) = self.grad, self.scratch
         self.m *= c.beta1
         self.m += np.multiply(1.0 - c.beta1, g, out=u)
         np.multiply(1.0 - c.beta2, g, out=u)
         self.v *= c.beta2
         self.v += np.multiply(u, g, out=u)
-        denom = np.sqrt(np.divide(self.v, bc2, out=g), out=g)
+        denom = np.sqrt(np.divide(self.v, bc2, out=w), out=w)
         denom += c.eps
         update = np.divide(np.divide(self.m, bc1, out=u), denom, out=u)
         for part, decay in self.decay:  # no "+ 0 * p": 0 * inf is nan
@@ -177,14 +178,14 @@ def split_dataset(dataset, val_fraction, seed):
 def eval_loss_act(obs, actions, rows, params, config, batch=512):
     """Mean per-step action loss over a chunk set (no regularizers); the
     chunk targets are actions[rows], as build_chunks returns them. Each
-    batch's tape is freed before the next forward builds."""
+    batch's arrays are freed before the next forward."""
     total = 0.0
     n = len(obs)
     for i in range(0, n, batch):
         out = head_mod.head_forward(obs[i:i + batch], params, config)
-        node = head_mod.loss_act(out.world_action, actions[rows[i:i + batch]], config.beta)
-        total += float(node.value) / config.horizon
-        del out, node
+        total += float(head_mod.loss_act(out.world_action.value, actions[
+            rows[i:i + batch]], config.beta)[0]) / config.horizon
+        del out  # before the next batch's forward
     return total / n
 
 

@@ -118,13 +118,16 @@ def test_k1_softmax_is_constant_one():
 
 
 def test_loss_act_unit_values():
-    pred = ad.constant(np.zeros((1, 1, 7)))
+    pred = np.zeros((1, 1, 7))
     target = np.zeros((1, 1, 7))
     target[0, 0, 3] = 0.5   # rot channel: smooth-l1 of 0.5 is 0.125
     target[0, 0, 0] = 0.25  # trans channel: l1
     target[0, 0, 6] = 1.0   # gripper channel: l1
-    loss = head.loss_act(pred, target, beta=1.0)
-    assert loss.value == pytest.approx(0.25 + 1.0 + 0.125)
+    loss, vjp, kinks = head.loss_act(pred, target, beta=1.0)
+    assert loss == pytest.approx(0.25 + 1.0 + 0.125)
+    # d/dpred: sign of the L1 residuals, the residual inside Smooth-L1's beta
+    assert vjp(2.0).tolist() == [[[-2.0, 0.0, 0.0, -1.0, 0.0, 0.0, -2.0]]]
+    assert sorted(kinks.tolist()) == [-1.0, -1.0, -1.0, -0.5, -0.25, 0.0, 0.0]
 
 
 def test_loss_ortho_zero_at_orthonormal():
@@ -132,16 +135,17 @@ def test_loss_ortho_zero_at_orthonormal():
     D = np.zeros((4, 3, 3))
     for k in range(4):
         D[k, k // 3, k % 3] = 1.0
-    zero = head.loss_ortho(ad.Param(D, "a"), ad.Param(D, "b"))
-    assert zero.value == pytest.approx(0.0)
+    zero, vjp = head.loss_ortho([D, D])
+    assert zero == pytest.approx(0.0)
+    assert all(np.abs(g).max() < 1e-15 for g in vjp(1.0))
 
 
 def test_loss_ortho_identity_dictionary_value():
     # two identical unit prototypes: gram = [[1,1],[1,1]], ||G - I||_F^2 = 2
     D = np.zeros((2, 3, 3))
     D[:, 0, 0] = 1.0
-    loss = head.loss_ortho(ad.Param(D, "a"), ad.Param(np.zeros((1, 3, 3)), "b"))
-    assert loss.value == pytest.approx(2.0 + 1.0)  # second dict: ||0 - I_1||^2 = 1
+    loss, _ = head.loss_ortho([D, np.zeros((1, 3, 3))])
+    assert loss == pytest.approx(2.0 + 1.0)  # second dict: ||0 - I_1||^2 = 1
 
 
 def _minimize_gram_floor(k, n, seed, iters=4000):
@@ -165,28 +169,24 @@ def test_tight_frame_floor_k16_d3():
 def test_tight_frame_floor_matches_head_dictionaries():
     cfg = head.HeadConfig()
     params = head.init_params(cfg, np.random.default_rng(15))
-    D = params["dict_trans"]
+    D = params["dict_trans"].value
     lr = 0.01
     for _ in range(4000):
-        loss = head.loss_ortho(D, D)
-        D.zero_grad()
-        ad.backward(loss)
-        D.value -= lr * 0.5 * D.grad  # loss counts the dictionary twice
-    final = head.loss_ortho(D, ad.Param(np.zeros((1, 3, 3)), "z")).value - 1.0
-    assert final == pytest.approx(16 - 9, abs=1e-3)
+        D -= lr * head.loss_ortho([D])[1](1.0)[0]
+    assert head.loss_ortho([D])[0] == pytest.approx(16 - 9, abs=1e-3)
 
 
 def test_loss_smooth_chunk_values():
     const = np.broadcast_to(np.eye(3), (2, 4, 3, 3)).copy()
-    assert head.loss_smooth_chunk(ad.constant(const)).value == pytest.approx(0.0)
+    assert head.loss_smooth_chunk(const)[0] == pytest.approx(0.0)
     seq = np.broadcast_to(np.eye(3), (1, 2, 3, 3)).copy()
     seq[0, 1] = so3.axis_angle_to_rotation(np.array([0.0, 0.0, np.pi / 2]))
-    assert head.loss_smooth_chunk(ad.constant(seq)).value == pytest.approx(1.0)
+    assert head.loss_smooth_chunk(seq)[0] == pytest.approx(1.0)
 
 
 def test_loss_smooth_single_step_chunk_is_zero():
     frames = np.broadcast_to(np.eye(3), (2, 1, 3, 3)).copy()
-    assert head.loss_smooth_chunk(ad.constant(frames)).value == 0.0
+    assert head.loss_smooth_chunk(frames) == (0.0, None)
 
 
 def test_loss_total_parts_consistent():

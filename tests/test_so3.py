@@ -13,7 +13,7 @@ def rot_z(theta):
 def smoothness(r_prev, r_cur):
     """Geodesic smoothness 1 - cos(angle) of one frame pair, via the head loss."""
     frames = np.stack([r_prev, r_cur])[None]
-    return float(head.loss_smooth_chunk(ad.constant(frames)).value)
+    return float(head.loss_smooth_chunk(frames)[0])
 
 
 def geodesic_cos(r_prev, r_cur):
@@ -103,6 +103,14 @@ def test_cross_is_bitwise_np_cross(shape):
     m = rng.normal(size=shape + (3,))
     assert (so3.cross(m[..., 2], b).tobytes()
             == np.cross(m[..., 2], b).tobytes())
+    # every pairing of +-0.0 and nonzero components in the operands: products
+    # and differences of signed zeros
+    values = np.array([0.0, -0.0, 1.5, -2.0])
+    grid = values[np.stack(np.meshgrid(*[np.arange(4)] * 6, indexing="ij"), -1)
+                  .reshape(-1, 6)]
+    a, b = grid[:, :3], grid[:, 3:]
+    assert so3.cross(a, b).tobytes() == np.cross(a, b).tobytes()
+    assert so3.cross(b, a).tobytes() == np.cross(b, a).tobytes()
 
 
 # Test-side copies of the numpy forms that the component sums replaced: the

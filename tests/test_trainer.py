@@ -476,7 +476,7 @@ def test_train_step_loop_holds_one_tape_at_a_time(monkeypatch):
     hc, tc = tiny_configs(steps=5, warmup=1, eval_interval=2)
     watch = _TapeWatch(monkeypatch)
     trainer.train(ds, hc, tc)
-    assert watch.calls >= 2 * 5 + 3  # a step's loss_total runs one head_forward
+    assert watch.calls >= 5 + 3  # five loss_total calls, three evals
 
 
 def test_ablation_config_rows():
