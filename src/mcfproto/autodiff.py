@@ -2,14 +2,15 @@
 
 The primitive set covers the action head's graph: dense linear layers, tanh,
 softmax, the 6D rotation decode, batched matmul, and the three loss shapes.
-The head computes that graph in numpy with its own backward and hands
-backward one node (head.loss_total); the primitives serve the benchmark's
-tracer and the tests' reference of the head graph. Everything is float64;
-gradients are exact vector-Jacobian products, no numerical approximation.
+The head computes that graph in plain numpy with its own backward
+(head.loss_total) and builds no tape; the primitives and backward serve the
+benchmark's tracer and the tests' reference of the head graph, and Node is
+the type of head.HeadOutput's fields. Everything is float64; gradients are
+exact vector-Jacobian products, no numerical approximation.
 
-L1 and Smooth-L1 nodes record their residuals as "kink values" so that
-gradcheck can exclude finite-difference evaluations that straddle a
-non-smooth point.
+L1 and Smooth-L1 nodes record their residuals as "kink values" so that a
+finite-difference check can exclude evaluations that straddle a non-smooth
+point; gradcheck runs that check on plain arrays.
 """
 
 import numpy as np
@@ -33,21 +34,14 @@ class Node:
 
 
 class Param(Node):
-    """A trainable tensor with a persistent gradient accumulator. Assigning
-    to .grad writes into the accumulator, which trainer.AdamW rebinds to a
-    view of its flat gradient vector."""
+    """A tape leaf whose .grad backward accumulates into."""
 
-    __slots__ = ("name", "_grad")
-    grad = property(lambda self: self._grad,
-                    lambda self, value: np.copyto(self._grad, value))
+    __slots__ = ("name", "grad")
 
     def __init__(self, value, name):
         super().__init__(np.array(value, dtype=float))
         self.name = name
-        self._grad = np.zeros_like(self.value)
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
+        self.grad = np.zeros_like(self.value)
 
 
 def constant(value):
@@ -355,49 +349,45 @@ def collect_kinks(loss):
 def gradcheck(params, loss_fn, step=1e-5, rtol=1e-4):
     """Compare analytic gradients with central finite differences.
 
-    params: dict name -> Param. loss_fn re-runs the forward pass and returns
-    the scalar loss node. Coordinates whose +/- step evaluations straddle an
-    L1/Smooth-L1 kink (or come within 10*step of one) are excluded.
+    params: dict name -> array, perturbed in place. loss_fn re-runs the
+    forward pass and returns (loss, kinks, grad): the scalar loss, the
+    L1/Smooth-L1 kink values and a callable giving the gradients by name.
+    Coordinates whose +/- step evaluations straddle a kink (or come within
+    10*step of one) are excluded.
 
     Returns {name: {"max_rel_err": float, "checked": int, "skipped": int}};
     the overall maximum is under key "__max__".
     """
-    root = loss_fn()
-    if not np.isfinite(root.value):
+    loss, _, grad = loss_fn()
+    if not np.isfinite(loss):
         raise ValueError("loss is not finite")
-    for p in params.values():
-        p.zero_grad()
-    backward(root)
-    analytic = {k: p.grad.copy() for k, p in params.items()}
+    analytic = grad()
 
     report = {}
     overall = 0.0
     for name, p in params.items():
-        flat = p.value.reshape(-1)
-        a_flat = analytic[name].reshape(-1)
+        g = analytic.get(name, np.zeros(p.shape))  # no gradient given: 0
         max_err = 0.0
         skipped = 0
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            node_p = loss_fn()
-            lp, kp = float(node_p.value), collect_kinks(node_p)
-            flat[j] = orig - step
-            node_m = loss_fn()
-            lm, km = float(node_m.value), collect_kinks(node_m)
-            flat[j] = orig
+        for j in np.ndindex(p.shape):
+            orig = p[j]
+            p[j] = orig + step
+            lp, kp, _ = loss_fn()
+            p[j] = orig - step
+            lm, km, _ = loss_fn()
+            p[j] = orig
             moved = np.abs(kp - km) > 1e-12
             near = ((np.abs(kp) < 10 * step) | (np.abs(km) < 10 * step)) & moved
             crossed = np.sign(kp) != np.sign(km)
             if np.any(near | crossed):
                 skipped += 1
                 continue
-            fd = (lp - lm) / (2.0 * step)
-            err = abs(a_flat[j] - fd) / max(abs(a_flat[j]), abs(fd), 1e-6)
+            fd = (float(lp) - float(lm)) / (2.0 * step)
+            err = abs(g[j] - fd) / max(abs(g[j]), abs(fd), 1e-6)
             max_err = max(max_err, err)
         report[name] = {
             "max_rel_err": max_err,
-            "checked": flat.size - skipped,
+            "checked": p.size - skipped,
             "skipped": skipped,
         }
         overall = max(overall, max_err)

@@ -132,15 +132,14 @@ def write_diagnose(out_dir, report):
     def path(name):
         return os.path.join(out_dir, name)
 
-    metrics = ["covariance_trace", "avg_pairwise_distance", "pca_top3_ev",
-               "effective_rank"]
+    metrics = diagnostics.CONCENTRATION_METRICS
     rows = []
     for frame, stats in report["concentration"].items():
         rows += [[frame, task] + [vals[m] for m in metrics]
                  for task, vals in stats["per_task"].items()]
         rows += [[frame, f"__{s}__"] + [stats["summary"][m][s] for m in metrics]
                  for s in ("mean", "std")]
-    store.write_csv(path("concentration.csv"), ["frame", "task"] + metrics, rows)
+    store.write_csv(path("concentration.csv"), ["frame", "task", *metrics], rows)
     store.write_csv(path("compatibility.csv"),
                     ["frames", "task", "mean_deg", "std_deg", "n_steps"],
                     [[name, task, v["mean_deg"], v["std_deg"], v["n_steps"]]

@@ -26,6 +26,11 @@ RANDOM_BASELINE_DEG = 31.90106617358561
 # concentration
 # ---------------------------------------------------------------------------
 
+# concentration's statistics, in the order concentration.csv prints them
+CONCENTRATION_METRICS = ("covariance_trace", "avg_pairwise_distance", "pca_top3_ev",
+                         "effective_rank")
+
+
 def _spectrum(actions):
     cov = linalg.covariance(actions)
     lam = np.maximum(linalg.sym_eigen(cov).values, 0.0)
@@ -33,10 +38,8 @@ def _spectrum(actions):
 
 
 def _effective_rank(lam):
-    total = lam.sum()
-    if total <= 0:
-        return 1.0
-    p = lam / total
+    """exp of the entropy of the spectrum lam, whose sum is > 0."""
+    p = lam / lam.sum()
     p = p[p > 0]
     return float(np.exp(-(p * np.log(p)).sum()))
 
@@ -69,10 +72,8 @@ def concentration(actions_by_task):
             "pca_top3_ev": float(lam[:3].sum() / total),
             "effective_rank": _effective_rank(lam),
         }
-    metrics = ["covariance_trace", "avg_pairwise_distance", "pca_top3_ev",
-               "effective_rank"]
     summary = {}
-    for m in metrics:
+    for m in CONCENTRATION_METRICS:
         vals = np.array([per_task[t][m] for t in per_task])
         summary[m] = {"mean": float(vals.mean()), "std": float(vals.std(ddof=0))}
     return {"per_task": per_task, "summary": summary}

@@ -78,8 +78,22 @@ def _init_dictionary(rng, k, d, roll_atoms=False):
     return np.ascontiguousarray(flat.reshape(k, 3, d))
 
 
+def _param_shapes(config):
+    """{name: shape} of the head's tensors, in init_params' order."""
+    c, shapes = config, {}
+    for name, i, rows, cols in (
+            ("enc", 1, c.hidden, c.obs_dim), ("enc", 2, c.hidden, c.hidden),
+            ("frame", 1, c.hidden, c.hidden), ("frame", 2, c.horizon * 6, c.hidden),
+            *((name, "", c.horizon * n, c.hidden) for name, n in (
+                ("gate_t", c.k_trans), ("gate_r", c.k_rot), ("scale_t", c.d),
+                ("scale_r", c.d), ("rest", ACTION_DIM - 6)))):
+        shapes[f"{name}.w{i}"], shapes[f"{name}.b{i}"] = (rows, cols), (rows,)
+    shapes["dict_trans"], shapes["dict_rot"] = (c.k_trans, 3, c.d), (c.k_rot, 3, c.d)
+    return shapes
+
+
 def init_params(config, rng):
-    """Initialize all trainable tensors.
+    """Initialize all trainable tensors: {name: float64 array}.
 
     The frame head's final layer starts near (e1, e2) so the initial frames
     are approximately identity, keeping the Gram-Schmidt decode far from
@@ -88,41 +102,18 @@ def init_params(config, rng):
     shapes coincide. Prototype dictionaries start at the tight-frame floor
     of the orthogonality penalty (see _init_dictionary).
     """
-    c = config
-    n_grip = ACTION_DIM - 6
-
-    def dense(name, out_dim, in_dim, std=None):
-        std = 1.0 / np.sqrt(in_dim) if std is None else std
-        return ad.Param(rng.normal(0.0, std, (out_dim, in_dim)), name)
-
-    params = {
-        "enc.w1": dense("enc.w1", c.hidden, c.obs_dim),
-        "enc.b1": ad.Param(np.zeros(c.hidden), "enc.b1"),
-        "enc.w2": dense("enc.w2", c.hidden, c.hidden),
-        "enc.b2": ad.Param(np.zeros(c.hidden), "enc.b2"),
-        "frame.w1": dense("frame.w1", c.hidden, c.hidden),
-        "frame.b1": ad.Param(np.zeros(c.hidden), "frame.b1"),
-        "frame.w2": dense("frame.w2", c.horizon * 6, c.hidden, std=1e-3),
-        "frame.b2": ad.Param(
-            np.tile([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], c.horizon), "frame.b2"
-        ),
-        "gate_t.w": dense("gate_t.w", c.horizon * c.k_trans, c.hidden),
-        "gate_t.b": ad.Param(np.zeros(c.horizon * c.k_trans), "gate_t.b"),
-        "gate_r.w": dense("gate_r.w", c.horizon * c.k_rot, c.hidden),
-        "gate_r.b": ad.Param(np.zeros(c.horizon * c.k_rot), "gate_r.b"),
-        "scale_t.w": dense("scale_t.w", c.horizon * c.d, c.hidden),
-        "scale_t.b": ad.Param(np.zeros(c.horizon * c.d), "scale_t.b"),
-        "scale_r.w": dense("scale_r.w", c.horizon * c.d, c.hidden),
-        "scale_r.b": ad.Param(np.zeros(c.horizon * c.d), "scale_r.b"),
-        "rest.w": dense("rest.w", c.horizon * n_grip, c.hidden),
-        "rest.b": ad.Param(np.zeros(c.horizon * n_grip), "rest.b"),
-        "dict_trans": ad.Param(
-            _init_dictionary(rng, c.k_trans, c.d), "dict_trans"
-        ),
-        "dict_rot": ad.Param(
-            _init_dictionary(rng, c.k_rot, c.d, roll_atoms=True), "dict_rot"
-        ),
-    }
+    params = {}
+    for name, shape in _param_shapes(config).items():
+        if name.startswith("dict_"):
+            params[name] = _init_dictionary(rng, shape[0], config.d,
+                                            roll_atoms=name == "dict_rot")
+        elif name == "frame.b2":
+            params[name] = np.tile([1.0, 0.0, 0.0, 0.0, 1.0, 0.0], config.horizon)
+        elif len(shape) == 1:
+            params[name] = np.zeros(shape)
+        else:
+            std = 1e-3 if name == "frame.w2" else 1.0 / np.sqrt(shape[1])
+            params[name] = rng.normal(0.0, std, shape)
     return params
 
 
@@ -130,12 +121,11 @@ def _forward(obs, params, config):
     """The head on plain arrays: a dict of the HeadOutput fields and of every
     array the backward reads. Raises so3.DegenerateParamError when a predicted
     6D frame parameter cannot be decoded."""
-    v = {k: p.value for k, p in params.items()}
     f = {"obs": np.atleast_2d(np.asarray(obs, dtype=float))}
     batch, horizon, d = len(f["obs"]), config.horizon, config.d
 
     def linear(x, name, i=""):
-        return x @ v[f"{name}.w{i}"].T + v[f"{name}.b{i}"]
+        return x @ params[f"{name}.w{i}"].T + params[f"{name}.b{i}"]
 
     f["h1"] = np.tanh(linear(f["obs"], "enc", 1))
     f["latent"] = h = np.tanh(linear(f["h1"], "enc", 2))
@@ -152,7 +142,8 @@ def _forward(obs, params, config):
         pi = np.exp(pi - pi.max(axis=-1, keepdims=True))  # softmax
         pi /= pi.sum(axis=-1, keepdims=True)
         z = linear(h, f"scale_{kind[0]}").reshape(batch, horizon, d)
-        mix = (pi @ v[f"dict_{kind}"].reshape(k, 3 * d)).reshape(batch, horizon, 3, d)
+        mix = pi @ params[f"dict_{kind}"].reshape(k, 3 * d)
+        mix = mix.reshape(batch, horizon, 3, d)
         local = (mix @ z.reshape(batch, horizon, d, 1)).reshape(batch, horizon, 3)
         f.update({f"gating_{kind}": pi, f"scales_{kind}": z, f"mix_{kind}": mix,
                   f"local_{kind}": local})
@@ -173,12 +164,12 @@ def head_forward(obs, params, config):
 def first_slot(params, config):
     """The head cut to horizon slot 0, (params, config with horizon 1), whose
     head_forward is the full one's [:, :1]. Each per-slot head is laid out
-    slot-major, so slot 0 is its leading 1/horizon of rows; the other tensors
-    pass through."""
+    slot-major, so slot 0 is a view of its leading 1/horizon of rows; the
+    other tensors pass through."""
     per_slot = {"frame.w2", "frame.b2", *(f"{name}.{t}" for t in "wb" for name in (
         "gate_t", "gate_r", "scale_t", "scale_r", "rest"))}
-    cut = {k: ad.Param(p.value[:len(p.value) // config.horizon], k) if k in per_slot
-           else p for k, p in params.items()}
+    cut = {k: p[:len(p) // config.horizon] if k in per_slot else p
+           for k, p in params.items()}
     return cut, replace(config, horizon=1)
 
 
@@ -250,14 +241,14 @@ def loss_smooth_chunk(frames):
 def _backward(f, params, config, g_world, g_smooth, g_dicts):
     """Gradients by tensor name, from the forward's arrays f and the losses'
     gradients with respect to the world action, the frame slices of
-    loss_smooth_chunk (or None) and the dictionaries."""
-    v = {k: p.value for k, p in params.items()}
+    loss_smooth_chunk (or None) and the dictionaries. The frame head's
+    tensors have none when config.learn_frame is off."""
     batch, horizon, d = len(f["obs"]), config.horizon, config.d
     grads, g_h, g_frames = {}, [], None
 
     def linear(g, x, name, i=""):
         grads[f"{name}.w{i}"], grads[f"{name}.b{i}"] = g.T @ x, g.sum(axis=0)
-        return g @ v[f"{name}.w{i}"]
+        return g @ params[f"{name}.w{i}"]
 
     for j, kind in enumerate(("trans", "rot")):
         g4 = g_world[..., 3 * j:3 * j + 3].reshape(batch, horizon, 3, 1)
@@ -269,7 +260,7 @@ def _backward(f, params, config, g_world, g_smooth, g_dicts):
         z4 = f[f"scales_{kind}"].reshape(batch, horizon, d, 1)
         g_mix = (g4 @ np.swapaxes(z4, -1, -2)).reshape(batch, horizon, 3 * d)
         g_z = (np.swapaxes(f[f"mix_{kind}"], -1, -2) @ g4).reshape(batch, horizon * d)
-        dic, pi = v[f"dict_{kind}"], f[f"gating_{kind}"]
+        dic, pi = params[f"dict_{kind}"], f[f"gating_{kind}"]
         g_pi = g_mix @ dic.reshape(len(dic), 3 * d).T
         g_pi = pi * (g_pi - (pi * g_pi).sum(axis=-1, keepdims=True))  # softmax
         g_dic = (np.swapaxes(pi, -1, -2) @ g_mix).sum(axis=0).reshape(dic.shape)
@@ -294,27 +285,27 @@ def _backward(f, params, config, g_world, g_smooth, g_dicts):
 def loss_total(obs, targets, params, config):
     """Total objective on a batch of chunks.
 
-    obs: (B, obs_dim); targets: (B, H, ACTION_DIM). Returns (loss_node,
-    parts), parts the float values of the terms; loss_node is one tape node
-    over the params, with the head's backward and loss_act's kinks."""
+    obs: (B, obs_dim); targets: (B, H, ACTION_DIM). Returns (total, parts,
+    kinks, grad): parts the float values of the terms, kinks loss_act's, and
+    grad() the gradients of total by tensor name, computed when called. grad
+    holds the forward's arrays: drop it before the next forward."""
     f = _forward(obs, params, config)
     n_steps = len(f["obs"]) * config.horizon
     act, act_vjp, kinks = loss_act(f["world_action"], targets, config.beta)
     act = 1.0 / n_steps * act + 0.0
-    ortho, ortho_vjp = loss_ortho([params["dict_trans"].value, params["dict_rot"].value])
+    ortho, ortho_vjp = loss_ortho([params["dict_trans"], params["dict_rot"]])
     smooth, smooth_vjp = loss_smooth_chunk(f["frames"])
     total = act + ((config.lambda_ortho * ortho + 0.0)
                    + (config.lambda_smooth * smooth + 0.0))
 
-    def backward(g):
-        grads = _backward(f, params, config, act_vjp(1.0 / n_steps * g),
-                          smooth_vjp and smooth_vjp(config.lambda_smooth * g),
-                          ortho_vjp(config.lambda_ortho * g))
-        return tuple(grads.get(k) for k in params)
+    def grad():
+        return _backward(f, params, config, act_vjp(1.0 / n_steps),
+                         smooth_vjp and smooth_vjp(config.lambda_smooth),
+                         ortho_vjp(config.lambda_ortho))
 
     parts = {"loss_act": float(act), "loss_ortho": float(ortho),
              "loss_smooth": float(smooth), "loss_total": float(total)}
-    return ad.Node(total, tuple(params.values()), backward, kinks), parts
+    return total, parts, kinks, grad
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +328,7 @@ def save_checkpoint(path, params, config, extra=None):
     doc = {
         "schema_version": CHECKPOINT_SCHEMA,
         "config": asdict(config),
-        "params": {k: p.value.tolist() for k, p in params.items()},
+        "params": {k: p.tolist() for k, p in params.items()},
     }
     if extra:
         doc["extra"] = extra
@@ -363,14 +354,14 @@ def load_checkpoint(path):
         config = HeadConfig(**doc["config"])
     except (TypeError, ValueError) as exc:
         raise invalid(str(exc)) from exc
-    expected = init_params(config, np.random.default_rng(0))
-    if set(doc["params"]) != set(expected):
-        raise invalid(f"tensors {sorted(doc['params'])} are not {sorted(expected)}")
+    shapes = _param_shapes(config)
+    if set(doc["params"]) != set(shapes):
+        raise invalid(f"tensors {sorted(doc['params'])} are not {sorted(shapes)}")
     params = {}
-    for k, p in expected.items():
+    for k, shape in shapes.items():
         value = store.numbers(doc["params"][k], f"tensor {k}", f"checkpoint {path}",
-                              p.value.ndim, bools=True)
-        if value.shape != p.shape:
-            raise invalid(f"tensor {k} has shape {value.shape}, not {p.shape}")
-        params[k] = ad.Param(value, k)
+                              len(shape), bools=True)
+        if value.shape != shape:
+            raise invalid(f"tensor {k} has shape {value.shape}, not {shape}")
+        params[k] = value
     return params, config, doc.get("extra")

@@ -16,7 +16,6 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from . import head as head_mod
 from . import store
 
@@ -80,17 +79,20 @@ class AdamW:
     """
 
     def __init__(self, params, config):
-        self.params, self.cfg, self.step_count = params, config, 0
-        # one flat vector of values, one of gradients; each Param views its slices
-        self.flat = np.concatenate([p.value for p in params.values()], axis=None)
-        self.grad = np.concatenate([p.grad for p in params.values()], axis=None)
-        sizes = [p.value.size for p in params.values()]
-        for p, end in zip(params.values(), np.cumsum(sizes)):
-            p.value = self.flat[end - p.value.size:end].reshape(p.value.shape)
-            p._grad = self.grad[end - p.value.size:end].reshape(p.value.shape)
+        self.cfg, self.step_count = config, 0
+        # one flat vector of values, one of gradients; each entry of `params`
+        # is rebound to a view of its slice of the values
+        self.flat = np.concatenate(list(params.values()), axis=None)
+        self.grad = np.zeros_like(self.flat)
+        self.grad_views, end = {}, 0  # name -> view of its slice of the gradients
+        for k, value in list(params.items()):
+            part = slice(end, end + value.size)
+            params[k] = self.flat[part].reshape(value.shape)
+            self.grad_views[k] = self.grad[part].reshape(value.shape)
+            end = part.stop
         self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
         self.scratch = np.empty_like(self.flat), np.empty_like(self.flat)
-        decay = np.concatenate([np.full(p.value.size, (
+        decay = np.concatenate([np.full(p.size, (
             config.weight_decay_scale if k.startswith("scale_") else
             0.0 if k.startswith("dict_") else config.weight_decay))
             for k, p in params.items()])
@@ -98,7 +100,12 @@ class AdamW:
         self.decay = [(slice(a, b), decay[a])  # each run of one decay > 0
                       for a, b in zip(edges, edges[1:]) if decay[a] > 0]
 
-    def step(self, lr):
+    def step(self, lr, grads):
+        """One update from `grads`, {name: gradient}; a missing name's is 0.
+        Each gradient is added into zeros, which makes a -0.0 +0.0."""
+        self.grad[...] = 0.0
+        for k, g in grads.items():
+            self.grad_views[k] += g
         # the per-tensor update's exact operation order, on the whole vector
         # and in place: temporaries of its size cost more than the arithmetic
         self.step_count += 1
@@ -214,15 +221,17 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
     val_set = build_chunks(val_eps, hc.horizon) if val_eps else (
         tr_obs, tr_actions, tr_rows)
 
-    params = head_mod.init_params(hc, np.random.Generator(np.random.Philox(key=[tc.seed, 0x1417])))
-    opt = AdamW(params, tc)
     start_step = 0
     best_val = np.inf
     best_step = -1
-    best_snapshot = {k: p.value.copy() for k, p in params.items()}
     rows = []    # the logged rows, as metrics.csv prints them
 
-    if resume is not None:
+    if resume is None:
+        params = head_mod.init_params(
+            hc, np.random.Generator(np.random.Philox(key=[tc.seed, 0x1417])))
+        opt = AdamW(params, tc)
+        best_snapshot = {k: p.copy() for k, p in params.items()}
+    else:
         params, loaded_hc, extra = head_mod.load_checkpoint(resume)
         if asdict(loaded_hc) != asdict(hc):
             raise ValueError("checkpoint head config does not match")
@@ -258,7 +267,7 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
                 dict(zip(params, store.decode_f8(extra.get("best_params"), shapes,
                                                  "best_params")))
                 if "best_params" in extra or best_step != start_step
-                else {k: p.value.copy() for k, p in params.items()})
+                else {k: p.copy() for k, p in params.items()})
         except ValueError as exc:
             raise ValueError(f"checkpoint {resume}: {exc}") from exc
 
@@ -273,6 +282,8 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
     def resume_state(step):
         state = {"step": step, "optimizer": opt.state(), "best_val": best_val,
                  "best_step": best_step, "metrics": rows}
+        if best_step < 0:  # no eval has run, and best_val is inf, which is not JSON
+            del state["best_val"], state["best_step"]
         if best_step != step:  # else the best parameters are `params`
             state["best_params"] = store.encode_f8(best_snapshot.values())
         return state
@@ -282,17 +293,14 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
     for step in range(start_step, tc.steps):
         rng = np.random.Generator(np.random.Philox(key=[tc.seed, 1 + step]))
         idx = rng.integers(0, n_chunks, tc.batch_size)
-        loss_node, parts = head_mod.loss_total(
+        loss, parts, kinks, grad = head_mod.loss_total(
             tr_obs[idx], tr_actions[tr_rows[idx]], params, hc
         )
-        if not np.isfinite(loss_node.value):
-            raise TrainingDiverged(step, float(loss_node.value))
-        for p in params.values():
-            p.zero_grad()
-        ad.backward(loss_node)
-        del loss_node  # only the floats in parts are needed from here on
+        if not np.isfinite(loss):
+            raise TrainingDiverged(step, float(loss))
         lr = cosine_lr(step, tc)
-        opt.step(lr)
+        opt.step(lr, grad())
+        del kinks, grad  # only the floats in parts are needed from here on
 
         val = None
         if (step + 1) % tc.eval_interval == 0 or step + 1 == tc.steps:
@@ -300,7 +308,7 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
             if val < best_val:
                 best_val = val
                 best_step = step + 1
-                best_snapshot = {k: p.value.copy() for k, p in params.items()}
+                best_snapshot = {k: p.copy() for k, p in params.items()}
         if val is not None or (step + 1) % 100 == 0 or step == 0:
             rows.append([step + 1, lr, parts["loss_total"], parts["loss_act"],
                          parts["loss_ortho"], parts["loss_smooth"],
@@ -322,9 +330,8 @@ def train(dataset, head_config, train_config, out_dir=None, resume=None):
                 shutil.copyfileobj(src, dst)
         else:
             head_mod.save_checkpoint(final, params, hc, extra=resume_state(tc.steps))
-        best_params = {k: ad.Param(v, k) for k, v in best_snapshot.items()}
         head_mod.save_checkpoint(
-            os.path.join(out_dir, "ckpt_best.json"), best_params, hc,
+            os.path.join(out_dir, "ckpt_best.json"), best_snapshot, hc,
             extra={"step": best_step, "best_val": best_val},
         )
     return (params, [dict(zip(METRIC_COLUMNS, row)) for row in rows],

@@ -100,7 +100,8 @@ def test_ac2_gradcheck_full_objective():
     targets = rng.normal(size=(2, hc.horizon, 7)) * 0.05
 
     def loss_fn():
-        return head.loss_total(obs, targets, params, hc)[0]
+        total, _, kinks, grad = head.loss_total(obs, targets, params, hc)
+        return total, kinks, grad
 
     t0 = time.time()
     rep = ad.gradcheck(params, loss_fn, step=1e-5, rtol=1e-4)

@@ -29,6 +29,7 @@ def test_concentration_degenerate_identical():
     assert t["pca_top3_ev"] == 1.0
     assert t["covariance_trace"] == 0.0
     assert t["avg_pairwise_distance"] == 0.0
+    assert tuple(t) == diagnostics.CONCENTRATION_METRICS
 
 
 def test_concentration_requires_two_actions():
@@ -42,6 +43,8 @@ def test_concentration_summary_mean_std():
         "a": rng.normal(size=(100, 6)),
         "b": rng.normal(size=(100, 6)) * 2,
     })
+    assert tuple(stats["summary"]) == diagnostics.CONCENTRATION_METRICS
+    assert tuple(stats["per_task"]["a"]) == diagnostics.CONCENTRATION_METRICS
     vals = [stats["per_task"][t]["covariance_trace"] for t in ("a", "b")]
     assert stats["summary"]["covariance_trace"]["mean"] == pytest.approx(np.mean(vals))
     assert stats["summary"]["covariance_trace"]["std"] == pytest.approx(np.std(vals))

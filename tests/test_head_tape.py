@@ -1,7 +1,8 @@
 """The head's plain-numpy forward and hand-written backward against a tape
 reference: the head graph built from autodiff primitives, as the head was
-computed before it had a backward of its own. Outputs, loss parts and
-gradients must match it bit for bit."""
+computed before it had a backward of its own, over the parameter arrays
+wrapped in ad.Param here. Outputs, loss parts and gradients must match it
+bit for bit."""
 
 import importlib
 import os
@@ -22,6 +23,11 @@ FIELDS = ("latent", "frames", "gating_trans", "gating_rot", "scales_trans",
 # ---------------------------------------------------------------------------
 # tape reference
 # ---------------------------------------------------------------------------
+
+def as_params(arrays):
+    """Tape leaves over copies of the head's parameter arrays."""
+    return {k: ad.Param(v, k) for k, v in arrays.items()}
+
 
 def tape_compose_local(h, params, cfg, kind):
     prefix = "t" if kind == "trans" else "r"
@@ -130,15 +136,19 @@ def batch_for(cfg, seed, batch=64):
 
 def init(cfg, seed):
     params = head.init_params(cfg, np.random.default_rng(seed))
-    params["frame.w2"].value *= 300.0  # frames away from the identity
+    params["frame.w2"] *= 300.0  # frames away from the identity
     return params
 
 
-def grads_after(node, params):
-    for p in params.values():
-        p.zero_grad()
+def head_and_tape_grads(obs, targets, params, cfg):
+    """(the head's gradients, the tape's), each by tensor name; the tape has
+    one for every tensor. Asserts that the two losses' parts are equal."""
+    _, parts, _, grad = head.loss_total(obs, targets, params, cfg)
+    tape = as_params(params)
+    node, ref_parts = tape_loss_total(obs, targets, tape, cfg)
+    assert parts == ref_parts
     ad.backward(node)
-    return {k: p.grad.copy() for k, p in params.items()}
+    return grad(), {k: p.grad for k, p in tape.items()}
 
 
 def assert_same(got, want, what):
@@ -152,7 +162,8 @@ def test_head_forward_is_the_tape_bitwise(name):
     cfg = make_config(name)
     params = init(cfg, 30)
     obs, _ = batch_for(cfg, 31)
-    out, ref = head.head_forward(obs, params, cfg), tape_forward(obs, params, cfg)
+    out = head.head_forward(obs, params, cfg)
+    ref = tape_forward(obs, as_params(params), cfg)
     for field in FIELDS:
         assert_same(getattr(out, field).value, ref[field].value, field)
 
@@ -162,15 +173,16 @@ def test_loss_total_and_gradients_are_the_tape_bitwise(name):
     cfg = make_config(name)
     params = init(cfg, 32)
     obs, targets = batch_for(cfg, 33)
-    node, parts = head.loss_total(obs, targets, params, cfg)
-    ref_node, ref_parts = tape_loss_total(obs, targets, params, cfg)
+    loss, parts, kinks, _ = head.loss_total(obs, targets, params, cfg)
+    ref_node, ref_parts = tape_loss_total(obs, targets, as_params(params), cfg)
     assert parts == ref_parts
-    assert_same(node.value, ref_node.value, "loss")
-    assert_same(node.kinks, ad.collect_kinks(ref_node), "kinks")
-    got, want = grads_after(node, params), grads_after(ref_node, params)
-    assert list(got) == list(want)
-    for k in got:
-        assert_same(got[k], want[k], k)
+    assert_same(loss, ref_node.value, "loss")
+    assert_same(kinks, ad.collect_kinks(ref_node), "kinks")
+    got, want = head_and_tape_grads(obs, targets, params, cfg)
+    # the frame head has no gradient when the frame is frozen: the tape's is 0
+    assert set(got) == {k for k in want if cfg.learn_frame or not k.startswith("frame.")}
+    for k in want:
+        assert_same(got.get(k, np.zeros(want[k].shape)), want[k], k)
 
 
 def test_horizon_one_differs_only_in_the_encoder_order():
@@ -179,10 +191,7 @@ def test_horizon_one_differs_only_in_the_encoder_order():
     cfg = head.HeadConfig(horizon=1)
     params = init(cfg, 34)
     obs, targets = batch_for(cfg, 35)
-    node, parts = head.loss_total(obs, targets, params, cfg)
-    ref_node, ref_parts = tape_loss_total(obs, targets, params, cfg)
-    assert parts == ref_parts
-    got, want = grads_after(node, params), grads_after(ref_node, params)
+    got, want = head_and_tape_grads(obs, targets, params, cfg)
     for k in got:
         if k.startswith("enc."):
             gap = np.abs(got[k] - want[k]).max() / np.abs(want[k]).max()
@@ -201,15 +210,13 @@ def test_adamw_steps_match_the_tape_bitwise(name):
     obs, targets = batch_for(cfg, 38, batch=256)
     for step in range(300):
         idx = rng.integers(0, len(obs), 16)
-        for ps, loss, o in ((params, head.loss_total, opt),
-                            (ref_params, tape_loss_total, ref_opt)):
-            node, _ = loss(obs[idx], targets[idx], ps, cfg)
-            for p in ps.values():
-                p.zero_grad()
-            ad.backward(node)
-            o.step(trainer.cosine_lr(step, tc))
+        lr = trainer.cosine_lr(step, tc)
+        opt.step(lr, head.loss_total(obs[idx], targets[idx], params, cfg)[3]())
+        tape = as_params(ref_params)
+        ad.backward(tape_loss_total(obs[idx], targets[idx], tape, cfg)[0])
+        ref_opt.step(lr, {k: p.grad for k, p in tape.items()})
     for k in params:
-        assert_same(params[k].value, ref_params[k].value, k)
+        assert_same(params[k], ref_params[k], k)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +224,13 @@ def test_adamw_steps_match_the_tape_bitwise(name):
 # ---------------------------------------------------------------------------
 
 def test_head_builds_no_tape(monkeypatch):
-    # every tape primitive the benchmark's tracer wraps raises; the head, its
-    # loss, eval, diagnose's forward and training must not call one
+    # every tape primitive the benchmark's tracer wraps, backward and Param
+    # raise; the head, its loss and gradient, eval, diagnose's forward and
+    # training must not call one
     monkeypatch.syspath_prepend(PERFBENCH)
     layers = importlib.import_module("layers")
     for name in (layers.NAMED_PRIMITIVES + layers.LOSS_PRIMITIVES
-                 + layers.OTHER_PRIMITIVES):
+                 + layers.OTHER_PRIMITIVES + ("backward", "Param")):
         def primitive(*args, name=name, **kwargs):
             raise AssertionError(f"autodiff.{name} called")
         monkeypatch.setattr(mcfproto.autodiff, name, primitive)
@@ -230,8 +238,7 @@ def test_head_builds_no_tape(monkeypatch):
     params = head.init_params(hc, np.random.default_rng(0))
     obs, targets = batch_for(hc, 1, batch=8)
     head.head_forward(obs, params, hc)
-    node, _ = head.loss_total(obs, targets, params, hc)
-    ad.backward(node)
+    head.loss_total(obs, targets, params, hc)[3]()
     ds = synthgym.generate(synthgym.default_templates(), 2, seed=0)
     trainer.eval_loss_act(*trainer.build_chunks(ds.episodes, hc.horizon), params, hc)
     diagnostics.predict_step_outputs(params, hc, obs)

@@ -44,6 +44,8 @@ def test_module_layering():
     assert modules["config"] <= {"store"}
     assert "head" not in modules["synthgym"]
     assert modules["theoremlab"] == {"linalg"}
+    # training passes plain arrays and gradient dicts; the tape is not on its path
+    assert "autodiff" not in modules["trainer"]
     # the one function-level import breaks the synthgym -> diagnostics cycle
     # until world_vs_canonical_stats moves into diagnostics
     assert {(name, function) for name, found in imports.items()

@@ -8,7 +8,6 @@ import weakref
 import numpy as np
 import pytest
 
-from mcfproto import autodiff as ad
 from mcfproto import config, diagnostics, head, so3, store, synthgym, trainer
 
 
@@ -55,17 +54,15 @@ def test_adamw_zero_grad_step_only_decays():
     tc = config.TrainConfig(steps=10, warmup=0, weight_decay=0.1,
                              weight_decay_scale=0.2)
     opt = trainer.AdamW(params, tc)
-    before = {k: p.value.copy() for k, p in params.items()}
-    for p in params.values():
-        p.zero_grad()
-    opt.step(lr=0.5)
+    before = {k: p.copy() for k, p in params.items()}
+    opt.step(0.5, {"enc.w1": np.zeros(params["enc.w1"].shape)})  # the rest count as 0
     for k, p in params.items():
         if k.startswith("dict_"):
-            assert np.array_equal(p.value, before[k])
+            assert np.array_equal(p, before[k])
         elif k.startswith("scale_"):
-            assert np.allclose(p.value, before[k] * (1 - 0.5 * 0.2))
+            assert np.allclose(p, before[k] * (1 - 0.5 * 0.2))
         else:
-            assert np.allclose(p.value, before[k] * (1 - 0.5 * 0.1))
+            assert np.allclose(p, before[k] * (1 - 0.5 * 0.1))
 
 
 def test_build_chunks_padding():
@@ -139,7 +136,7 @@ def test_train_deterministic_bitwise():
     p2, m2, b2 = trainer.train(ds, hc, tc)
     assert b1 == b2
     for k in p1:
-        assert np.array_equal(p1[k].value, p2[k].value)
+        assert np.array_equal(p1[k], p2[k])
     assert m1 == m2
 
 
@@ -170,7 +167,7 @@ def test_resume_bitwise_identical(tmp_path):
     pb, _, _ = trainer.train(ds, hc, tc_full, out_dir=str(out_b),
                              resume=str(out_b / "ckpt_20.json"))
     for k in pa:
-        assert np.array_equal(pa[k].value, pb[k].value)
+        assert np.array_equal(pa[k], pb[k])
     assert_same_run_outputs(out_a, out_b)
 
     # the checkpoint is the whole resume state: an empty directory will do,
@@ -180,6 +177,42 @@ def test_resume_bitwise_identical(tmp_path):
                                   resume=str(out_a / "ckpt_20.json"))
     assert mc == ma and best_c == best_a
     assert_same_run_outputs(out_a, out_c)
+
+
+def test_checkpoint_before_the_first_eval_is_strict_json(tmp_path):
+    # ckpt_10.json comes before the first eval, at step 20: it holds no
+    # best_val, which would be Infinity, not JSON
+    ds = tiny_dataset()
+    hc, tc = tiny_configs(steps=40, warmup=5, eval_interval=20, ckpt_interval=10)
+    full = tmp_path / "full"
+    trainer.train(ds, hc, tc, out_dir=str(full))
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    for path in sorted(full.glob("ckpt_*.json")):
+        json.loads(path.read_text(), parse_constant=reject)
+    extra = json.loads((full / "ckpt_10.json").read_text())["extra"]
+    assert "best_val" not in extra and "best_step" not in extra
+    resumed = tmp_path / "resumed"
+    trainer.train(ds, hc, tc, out_dir=str(resumed), resume=str(full / "ckpt_10.json"))
+    assert_same_run_outputs(full, resumed)
+
+
+def test_resume_draws_no_initial_parameters(tmp_path, monkeypatch):
+    # the parameters come from the checkpoint alone
+    ds = tiny_dataset()
+    hc, tc = tiny_configs(steps=20, warmup=2, ckpt_interval=10)
+    full = tmp_path / "full"
+    trainer.train(ds, hc, tc, out_dir=str(full))
+
+    def init_params(*args):
+        raise AssertionError("init_params called on resume")
+
+    monkeypatch.setattr(head, "init_params", init_params)
+    resumed = tmp_path / "resumed"
+    trainer.train(ds, hc, tc, out_dir=str(resumed), resume=str(full / "ckpt_10.json"))
+    assert_same_run_outputs(full, resumed)
 
 
 def best_before_end_run(full):
@@ -262,9 +295,7 @@ def test_adamw_state_roundtrip_exact():
     opt = trainer.AdamW(params, tc)
     rng = np.random.default_rng(5)
     for _ in range(3):
-        for p in params.values():
-            p.grad = rng.normal(size=p.value.shape)
-        opt.step(1e-3)
+        opt.step(1e-3, {k: rng.normal(size=p.shape) for k, p in params.items()})
     state = json.loads(json.dumps(opt.state()))
     # the moments are flat: the tensors' moments concatenated in parameter order
     flat = np.frombuffer(base64.b64decode(state["m"]), dtype="<f8")
@@ -282,16 +313,16 @@ class PerTensorAdamW:
 
     def __init__(self, params, config):
         self.params, self.cfg, self.step_count = params, config, 0
-        self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
+        self.m = {k: np.zeros_like(p) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p) for k, p in params.items()}
 
-    def step(self, lr):
+    def step(self, lr, grads):
         self.step_count += 1
         c = self.cfg
         bc1 = 1.0 - c.beta1 ** self.step_count
         bc2 = 1.0 - c.beta2 ** self.step_count
         for k, p in self.params.items():
-            g = p.grad
+            g = grads[k]
             self.m[k] = c.beta1 * self.m[k] + (1.0 - c.beta1) * g
             self.v[k] = c.beta2 * self.v[k] + (1.0 - c.beta2) * g * g
             update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + c.eps)
@@ -302,8 +333,8 @@ class PerTensorAdamW:
             else:
                 decay = c.weight_decay
             if decay > 0:
-                update = update + decay * p.value
-            p.value -= lr * update
+                update = update + decay * p
+            p -= lr * update
 
     def state(self):
         return {"step_count": self.step_count,
@@ -328,46 +359,44 @@ def test_flat_adamw_matches_per_tensor_loop_bitwise():
                           for _ in range(2))
     ref, opt = PerTensorAdamW(ref_params, tc), trainer.AdamW(params, tc)
     zeros = ("enc.w1", "scale_t.w", "dict_trans")  # one of each decay group
-    for k in zeros:  # signed zeros in values and moments, kept by -0.0 grads
+    for k in zeros:  # signed zeros in values and moments, -0.0 gradients on them
         for ps in (ref_params, params):
-            ps[k].value.reshape(-1)[:3] = [0.0, -0.0, -0.0]
+            ps[k].reshape(-1)[:3] = [0.0, -0.0, -0.0]
         ref.m[k].reshape(-1)[:3] = -0.0
     opt.load_state(ref.state())
     for ps in (ref_params, params):  # undecayed: a "+ 0 * inf" would make it nan
-        ps["dict_trans"].value.reshape(-1)[3] = np.inf
+        ps["dict_trans"].reshape(-1)[3] = np.inf
     rng = np.random.default_rng(7)
     for step in range(6):
-        for k, p in params.items():
-            p.grad = signed_zero_grads(rng, p.value.shape)
-            if k in zeros:
-                p.grad.reshape(-1)[:3] = -0.0
-            ref_params[k].grad = p.grad.copy()
+        grads = {k: signed_zero_grads(rng, p.shape) for k, p in params.items()}
+        for k in zeros:
+            grads[k].reshape(-1)[:3] = -0.0
         lr = trainer.cosine_lr(step, tc) + 1e-3
-        ref.step(lr)
-        opt.step(lr)
+        # the reference adds each gradient into zeros, as trainer.AdamW does
+        ref.step(lr, {k: np.zeros(g.shape) + g for k, g in grads.items()})
+        opt.step(lr, grads)
         for k in params:
-            assert params[k].value.tobytes() == ref_params[k].value.tobytes(), k
+            assert params[k].tobytes() == ref_params[k].tobytes(), k
         assert opt.m.tobytes() == np.concatenate(list(ref.m.values()), None).tobytes()
         assert opt.v.tobytes() == np.concatenate(list(ref.v.values()), None).tobytes()
         assert opt.state() == ref.state()
 
 
 def test_flat_adamw_one_rebound_tensor_matches_per_tensor_loop():
-    # as theoremlab._minimize drives it: the value reset in place, the
-    # gradient a new array every step
+    # one tensor whose value is reset in place through the dict's entry, the
+    # view AdamW bound there, before every step
     tc = config.TrainConfig(steps=10, warmup=0, weight_decay=0.1)
-    ref_theta, theta = (ad.Param(np.zeros((3, 6)), "theta") for _ in range(2))
-    ref = PerTensorAdamW({"theta": ref_theta}, tc)
-    opt = trainer.AdamW({"theta": theta}, tc)
+    ref_params, params = {"theta": np.zeros((3, 6))}, {"theta": np.zeros((3, 6))}
+    ref = PerTensorAdamW(ref_params, tc)
+    opt = trainer.AdamW(params, tc)
     rng = np.random.default_rng(8)
     for step in range(6):
-        theta.value[:] = 0.0
-        ref_theta.value[:] = 0.0
-        theta.grad = signed_zero_grads(rng, (3, 6))
-        ref_theta.grad = theta.grad.copy()
-        ref.step(0.05)
-        opt.step(0.05)
-        assert theta.value.tobytes() == ref_theta.value.tobytes()
+        params["theta"][:] = 0.0
+        ref_params["theta"][:] = 0.0
+        g = signed_zero_grads(rng, (3, 6))
+        ref.step(0.05, {"theta": np.zeros((3, 6)) + g})
+        opt.step(0.05, {"theta": g})
+        assert params["theta"].tobytes() == ref_params["theta"].tobytes()
         assert opt.state() == ref.state()
 
 
@@ -393,7 +422,7 @@ def test_final_checkpoint_without_periodic_one(tmp_path):
     pb, _, _ = trainer.train(ds, hc, tc, out_dir=str(out), resume=str(moved))
     assert final.read_bytes() == moved.read_bytes()
     for k in pa:
-        assert np.array_equal(pa[k].value, pb[k].value)
+        assert np.array_equal(pa[k], pb[k])
 
 
 def test_resume_rejects_config_mismatch(tmp_path):
@@ -425,26 +454,27 @@ def test_eval_loss_batch_size_invariant():
 
 class _TapeWatch:
     """Watches every head.head_forward and head.loss_total call, and fails
-    when one starts while an earlier call's tape is still alive.
+    when one starts while an earlier call's forward arrays are still alive.
 
-    A tape node has __slots__ and no __weakref__, so the watch keeps a weakref
-    to the value array of each call's world-action or loss node: only the
-    tape holds that array. No gc.collect() runs: a tape has no reference
-    cycles, so reference counting alone must free it."""
+    The watch keeps weakrefs to what only a call's forward holds: the value
+    array of head_forward's world-action node, and loss_total's kinks and
+    grad closure, which holds the forward's arrays. No gc.collect() runs:
+    they form no reference cycles, so reference counting alone must free
+    them."""
 
     def __init__(self, monkeypatch):
         self.calls, self.refs = 0, []
-        for name, node_of in (("head_forward", lambda out: out.world_action),
-                              ("loss_total", lambda out: out[0])):
-            monkeypatch.setattr(head, name, self._watch(getattr(head, name), node_of))
+        for name, held in (("head_forward", lambda out: [out.world_action.value]),
+                           ("loss_total", lambda out: out[2:])):
+            monkeypatch.setattr(head, name, self._watch(getattr(head, name), held))
 
-    def _watch(self, fn, node_of):
+    def _watch(self, fn, held):
         def watched(*args, **kwargs):
             alive = [ref for ref in self.refs if ref() is not None]
-            assert not alive, f"call {self.calls} starts with {len(alive)} tape(s) alive"
+            assert not alive, f"call {self.calls} starts with {len(alive)} alive"
             self.calls += 1
             result = fn(*args, **kwargs)
-            self.refs.append(weakref.ref(node_of(result).value))
+            self.refs += map(weakref.ref, held(result))
             return result
         return watched
 
@@ -501,9 +531,9 @@ def test_bc_mlp_row_is_plain_regressor():
     obs = np.random.default_rng(3).normal(size=(4, cfg.obs_dim))
     out = head.head_forward(obs, params, cfg)
     h = out.latent.value
-    z = (h @ params["scale_t.w"].value.T + params["scale_t.b"].value)
+    z = (h @ params["scale_t.w"].T + params["scale_t.b"])
     z = z.reshape(4, cfg.horizon, cfg.d)
-    expected = z @ params["dict_trans"].value[0].T
+    expected = z @ params["dict_trans"][0].T
     assert np.abs(out.world_action.value[..., :3] - expected).max() < 1e-12
 
 
