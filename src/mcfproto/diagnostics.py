@@ -106,8 +106,9 @@ def compatibility(steps_by_task, min_displacement=None):
 
     steps_by_task: {task: (trans_actions (N, 3), frames (N, 3, 3))}.
     Steps with displacement below min_displacement (default: 10% of the
-    dataset-wide median step norm) are filtered; a task with no surviving
-    steps is reported as empty rather than zero.
+    dataset-wide median step norm) or of zero length, which has no direction,
+    are filtered; a task with no surviving steps is reported as empty rather
+    than zero.
     """
     norms = {task: np.linalg.norm(trans, axis=1)
              for task, (trans, _) in steps_by_task.items()}
@@ -115,7 +116,7 @@ def compatibility(steps_by_task, min_displacement=None):
         min_displacement = 0.1 * float(np.median(np.concatenate(list(norms.values()))))
     per_task = {}
     for task, (trans, frames) in steps_by_task.items():
-        keep = norms[task] >= min_displacement
+        keep = (norms[task] > 0) & (norms[task] >= min_displacement)
         if np.any(keep):
             angles = min_axis_angle_deg(trans[keep] / norms[task][keep, None],
                                         frames[keep])
@@ -256,21 +257,24 @@ def diagnose(dataset, params, config, dcfg):
             {task: (actions[span, :3], frames[span]) for task, span in spans.items()},
             min_displacement=dcfg["min_displacement"])
 
+    # each array goes once its last reader is done: the frames and gatings
+    # before any concentration statistic, local before the world statistics
+    usage = usage_matrix(outputs, spans)
+    compat = {"learned": compat_of(outputs["frames"]),
+              "ground_truth": compat_of(scene_frames),
+              "random_baseline_deg": RANDOM_BASELINE_DEG}
+    del outputs
+    timelines = {task: axis_timeline(local[spans[task]], lengths[a:b],
+                                     time_bins=dcfg["time_bins"])
+                 for task, a, b in zip(tasks, ep_edges, ep_edges[1:])}
+    learned_local = concentration({task: local[span] for task, span in spans.items()})
+    del local
     return {
         "concentration": {
             **synthgym.world_vs_canonical_stats(actions, scene_frames, spans),
-            "learned_local": concentration(
-                {task: local[span] for task, span in spans.items()}),
+            "learned_local": learned_local,
         },
-        "compatibility": {
-            "learned": compat_of(outputs["frames"]),
-            "ground_truth": compat_of(scene_frames),
-            "random_baseline_deg": RANDOM_BASELINE_DEG,
-        },
-        "usage_matrix": usage_matrix(outputs, spans),
-        "axis_timelines": {
-            task: axis_timeline(local[spans[task]], lengths[a:b],
-                                time_bins=dcfg["time_bins"])
-            for task, a, b in zip(tasks, ep_edges, ep_edges[1:])
-        },
+        "compatibility": compat,
+        "usage_matrix": usage,
+        "axis_timelines": timelines,
     }

@@ -313,7 +313,10 @@ def loss_total(obs, targets, params, config):
 # ---------------------------------------------------------------------------
 
 def _write_json(obj, f):
-    """Write json.dumps(obj) one dict entry at a time, never all of its text."""
+    """Write json.dumps(obj) one dict entry at a time, never all of its text;
+    an ndarray is written as the json.dumps of its tolist(), when reached."""
+    if isinstance(obj, np.ndarray):
+        return f.write(json.dumps(obj.tolist()))
     if not isinstance(obj, dict):
         return f.write(json.dumps(obj))
     f.write("{")
@@ -328,7 +331,7 @@ def save_checkpoint(path, params, config, extra=None):
     doc = {
         "schema_version": CHECKPOINT_SCHEMA,
         "config": asdict(config),
-        "params": {k: p.tolist() for k, p in params.items()},
+        "params": params,
     }
     if extra:
         doc["extra"] = extra

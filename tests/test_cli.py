@@ -676,6 +676,38 @@ def test_diagnose_rejects_out_of_range_diagnostics_config(tmp_path, capsys, key,
     assert not diag.exists()
 
 
+def test_diagnose_leaves_out_zero_steps_at_zero_threshold(tmp_path):
+    # a zero-length displacement has no direction, so min_displacement 0
+    # keeps it out instead of measuring 0/0 as NaN
+    ds = synthgym.generate(synthgym.default_templates(), 2, seed=1)
+    for ep in ds.episodes:
+        ep.actions[0, :3] = 0.0
+    data = tmp_path / "data.jsonl"
+    synthgym.save_jsonl(ds, str(data))
+    hc = head.HeadConfig(hidden=16, k_trans=4, k_rot=4, horizon=3)
+    ckpt = tmp_path / "ckpt.json"
+    head.save_checkpoint(str(ckpt), head.init_params(hc, np.random.default_rng(0)),
+                         hc)
+    cfg = small_config(tmp_path, diagnostics={"min_displacement": 0.0})
+    diag = tmp_path / "diag"
+    assert run_cli(["diagnose", "--data", str(data), "--ckpt", str(ckpt),
+                    "--config", cfg, "--out", str(diag)]) == cli.EXIT_OK
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+    report = json.loads((diag / "report.json").read_text(), parse_constant=no_constant)
+    moving = {}
+    for ep in ds.episodes:
+        moving[ep.task] = moving.get(ep.task, 0) + int(
+            np.count_nonzero(np.linalg.norm(ep.actions[:, :3], axis=1) > 0))
+    for frames in ("learned", "ground_truth"):
+        per_task = report["compatibility"][frames]["per_task"]
+        assert {task: v["n_steps"] for task, v in per_task.items()} == moving
+        for v in per_task.values():
+            assert np.isfinite([v["mean_deg"], v["std_deg"]]).all()
+    assert "nan" not in (diag / "compatibility.csv").read_text().lower()
+
+
 @pytest.mark.parametrize("exc, code", [
     (ValueError("bad value"), cli.EXIT_VALIDATION),
     (linalg.LinalgError("matrix is not symmetric"), cli.EXIT_VALIDATION),

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,36 @@ def test_predict_step_outputs_chunked_matches_per_episode():
         for key in ("frames", "gating_trans", "gating_rot"):
             want = getattr(ref, key).value[:, 0]
             assert out[key][lo:lo + 12] == pytest.approx(want, rel=0, abs=1e-14)
+
+
+def test_diagnose_drops_each_array_after_its_last_reader(monkeypatch):
+    # the step outputs are dead when the first concentration statistic
+    # starts, and the local actions when the world statistics start; no
+    # gc.collect() runs, so reference counting alone must free them
+    params, cfg = _tiny_model()
+    ds = synthgym.generate(synthgym.default_templates(), 2, seed=9)
+    refs = {"predict_step_outputs": [], "local_actions": []}
+    alive = {}  # per watched producer: its arrays alive when the reader started
+
+    def watch(module, name, held=None, checks=None):
+        fn = getattr(module, name)
+
+        def watched(*args, **kwargs):
+            if checks is not None and checks not in alive:
+                alive[checks] = sum(ref() is not None for ref in refs[checks])
+            result = fn(*args, **kwargs)
+            if held is not None:
+                refs[name] += map(weakref.ref, held(result))
+            return result
+        monkeypatch.setattr(module, name, watched)
+
+    watch(diagnostics, "predict_step_outputs", held=lambda out: out.values())
+    watch(diagnostics, "local_actions", held=lambda local: [local])
+    watch(kernels, "pairwise_mean_distance", checks="predict_step_outputs")
+    watch(synthgym, "world_vs_canonical_stats", checks="local_actions")
+    diagnostics.diagnose(ds, params, cfg, {"time_bins": 4, "min_displacement": None})
+    assert len(refs["predict_step_outputs"]) == 3 and refs["local_actions"]
+    assert alive == {"predict_step_outputs": 0, "local_actions": 0}
 
 
 def test_usage_matrix_simplex_rows():

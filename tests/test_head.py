@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -225,6 +226,10 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     head.save_checkpoint(path, params, cfg, extra={"step": 3, "opt": {"m": [0.5]}})
     text = path.read_text()
     assert text == json.dumps(json.loads(text))  # json.dumps layout, byte for byte
+    assert text == json.dumps({"schema_version": head.CHECKPOINT_SCHEMA,
+                               "config": asdict(cfg),
+                               "params": {k: p.tolist() for k, p in params.items()},
+                               "extra": {"step": 3, "opt": {"m": [0.5]}}})
     loaded, cfg2, extra = head.load_checkpoint(path)
     assert cfg2 == cfg
     assert extra == {"step": 3, "opt": {"m": [0.5]}}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,11 +72,28 @@ def test_sampler_covariance_and_determinism():
     rng = np.random.default_rng(4)
     sigma = tl.random_spd(rng, 3)
     s = tl.EllipticalSampler(sigma, seed=7)
-    a = s.sample(200000)
+    a = draw(s, 200000)
     emp = a.T @ a / len(a)
     assert np.abs(emp - sigma).max() < 0.1
-    assert np.array_equal(s.sample(100), s.sample(100))
-    assert not np.array_equal(s.sample(100, stream=0), s.sample(100, stream=1))
+    assert np.array_equal(draw(s, 100), draw(s, 100))
+    assert not np.array_equal(draw(s, 100, stream=0), draw(s, 100, stream=1))
+
+
+def draw(sampler, n, stream=0):
+    """The sampler's blocks as one (n, dim) array."""
+    return np.concatenate(list(sampler.sample(n, stream)))
+
+
+@pytest.mark.parametrize("n, sizes", [(999, [999]), (1000, [1000]),
+                                      (2001, [1000, 1000, 1])])
+def test_sampler_blocks_are_one_whole_draw(monkeypatch, n, sizes):
+    monkeypatch.setattr(tl, "_BLOCK", 1000)
+    sampler = tl.EllipticalSampler(tl.random_spd(np.random.default_rng(8), 5), seed=4)
+    blocks = list(sampler.sample(n, stream=2))
+    assert [len(b) for b in blocks] == sizes
+    rng = np.random.Generator(np.random.Philox(key=[4, 2]))
+    whole = rng.standard_normal((n, 5)) @ sampler.root.T
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
 
 def test_mc_matches_closed_form():
@@ -100,14 +119,34 @@ def reference_j_monte_carlo(R, sampler, n, stream):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
-def test_j_monte_carlo_is_bitwise_reference(dim):
+def test_j_monte_carlo_is_bitwise_reference(dim, monkeypatch):
     rng = np.random.default_rng(40 + dim)
     sampler = tl.EllipticalSampler(tl.random_spd(rng, dim), seed=dim)
     R = tl._random_orthogonal(rng, dim)
-    for stream in (0, 3):
-        got = tl.j_monte_carlo(R, sampler, 20000, stream)
-        want = reference_j_monte_carlo(R, sampler, 20000, stream)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+    # at the module's block size, then at a small one: fewer rows than a
+    # block, one block, and two blocks and a row
+    for block, n in ((tl._BLOCK, 20000), (1500, 1000), (1500, 1500), (1500, 3001)):
+        monkeypatch.setattr(tl, "_BLOCK", block)
+        for stream in (0, 3):
+            got = tl.j_monte_carlo(R, sampler, n, stream)
+            want = reference_j_monte_carlo(R, sampler, n, stream)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_j_monte_carlo_memory_grows_with_n_not_with_dim():
+    # the (n,) per-sample array and the standard error's one temporary of
+    # it, plus a few blocks; a whole (n, 6) draw would be 6 * 8n bytes
+    rng = np.random.default_rng(9)
+    sampler = tl.EllipticalSampler(tl.random_spd(rng, 6), seed=1)
+    R = tl._random_orthogonal(rng, 6)
+    n = 2 * 10 ** 5
+    tracemalloc.start()
+    try:
+        tl.j_monte_carlo(R, sampler, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * n
 
 
 def test_minimize_3d_lands_on_eigenframe():
